@@ -1,6 +1,6 @@
 """Counting runs repeat exactly: two runs with the same seed give the same counts.
 
-Run from the checkout root (about three minutes):
+Run from the checkout root (about two minutes):
 
     python3 -m pytest -q perfbench/test_counting.py
 """
@@ -22,7 +22,7 @@ def counting_run(workload: str, seed: int) -> dict:
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     proc = subprocess.run(
         [sys.executable, str(HERE / "worker.py"), "--workload", workload, "--seed", str(seed),
-         "--seconds", "1", "--mode", "counting", "--workdir", str(ROOT / ".perfbench_work")],
+         "--seconds", "1", "--mode", "counting"],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=170, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 

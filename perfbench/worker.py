@@ -2,16 +2,17 @@
 
 Run by ``run.py`` as a fresh interpreter with ``src`` on ``PYTHONPATH``:
 
-    python3 perfbench/worker.py --workload analyze --seed 1 --seconds 30 \
-        --mode plain --workdir .perfbench_work
+    python3 perfbench/worker.py --workload analyze --seed 1 --seconds 3 --mode plain
 
-Modes: ``setup`` stops after set-up; ``plain`` measures untraced for
-``--seconds``.  The other modes run a fixed amount of work, ten passes of the
-command list or 20 000 codec messages: ``once`` untraced, ``traced`` with
-spans installed, ``counting`` with call counters installed.  The last line of
-stdout is one JSON object.
+Modes: ``plain`` measures untraced for ``--seconds``.  The other modes run a
+fixed amount of work, ten passes of the command list or 20 000 codec
+messages: ``once`` untraced, ``traced`` with spans installed, ``counting``
+with call counters installed.  Input files go to a temporary directory in the
+working directory, removed at exit.  The last line of stdout is one JSON
+object.
 """
 
+import os
 import time
 
 T0 = time.perf_counter()
@@ -24,10 +25,20 @@ import resource  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-MODES = ("setup", "plain", "once", "traced", "counting")
-LATENCY_BINS = 100_000
+MODES = ("plain", "once", "traced", "counting")
+
+
+def rss_mb() -> float:
+    """Resident set size of this process now (Linux)."""
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2 ** 20
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def run_job(cli, job):
@@ -59,12 +70,19 @@ class Run:
         self.passes = []
         self.job_s = {}           # job name -> its latency in every pass
         self.work = 0
-        # codec: per-message latency histogram in whole microseconds, the last
-        # bin collecting the rest; its size does not grow with the run
-        self.latency_us = [0] * (LATENCY_BINS + 1)
+        # codec: per-message latency histogram in whole microseconds; its size
+        # does not grow with the run
+        self.latency_us = Counter()
         self.min_pvalue = None
+        self.first_pass_peak_mb = None
         self.events = {"cli.exit_nonzero": 0, "mosaics.decode_errors": 0,
                        "simkit.calibration_failures": 0}
+
+    def end_pass(self, start):
+        self.passes.append(time.perf_counter() - start)
+        if len(self.passes) == 1:
+            # set-up plus one pass is fixed work, whatever the host speed
+            self.first_pass_peak_mb = peak_rss_mb()
 
     def fail(self, what):
         self.failed += 1
@@ -95,7 +113,7 @@ def cli_pass(cli, jobs, run, workloads):
         reason = workloads.check(job, rc, out)
         if reason:
             run.fail(f"{job.name}: {reason}")
-    run.passes.append(time.perf_counter() - start)
+    run.end_pass(start)
 
 
 def codec_pass(mosaics, M, messages, encoder, decode, run, n):
@@ -110,13 +128,13 @@ def codec_pass(mosaics, M, messages, encoder, decode, run, n):
             ok = decode(M, sample_inverse(M, s, alpha, encoder), s) == alpha
         except ValueError:             # sample_inverse found f(g(s, alpha)) != alpha
             ok = False
-        hist[min((clock() - t) // 1000, LATENCY_BINS)] += 1
+        hist[(clock() - t) // 1000] += 1
         if not ok:
             run.events["mosaics.decode_errors"] += 1
             run.fail(f"message (s={s}, alpha={alpha}) did not round-trip")
     run.attempted += n
     run.work += n
-    run.passes.append(time.perf_counter() - start)
+    run.end_pass(start)
     run.job_s.setdefault(f"{n} messages", []).append(run.passes[-1])
 
 
@@ -126,14 +144,13 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--mode", choices=MODES, required=True)
-    ap.add_argument("--workdir", required=True)
     args = ap.parse_args(argv)
 
     t = time.perf_counter()
     from designmosaics import cli, families, mosaics
     import_s = time.perf_counter() - t
+    import_rss_mb = rss_mb()
 
-    import numpy as np
     import probes
     import workloads
 
@@ -145,8 +162,7 @@ def main(argv=None) -> int:
         counter = probes.Counter()
         counter.install()
 
-    Path(args.workdir).mkdir(parents=True, exist_ok=True)
-    workdir = Path(tempfile.mkdtemp(dir=args.workdir))
+    workdir = Path(tempfile.mkdtemp(prefix=".perfbench-", dir=Path.cwd()))
     try:
         run = Run()
         if args.workload == "codec":
@@ -161,9 +177,7 @@ def main(argv=None) -> int:
         if counter is not None:
             counter.reset()
 
-        if args.mode == "setup":
-            pass
-        elif args.workload == "codec":
+        if args.workload == "codec":
             decode = mosaics.Mosaic.f
             if tracer is not None:
                 def decode(M, x, s, f=mosaics.Mosaic.f, span=tracer.span):
@@ -194,18 +208,15 @@ def main(argv=None) -> int:
 
     result = {
         "mode": args.mode, "setup_s": setup_s, "import_s": import_s,
+        "import_rss_mb": import_rss_mb,
         "attempted": run.attempted, "failed": run.failed, "failures": run.failures,
         "passes": run.passes, "job_s": run.job_s, "work": run.work,
         "elapsed": sum(run.passes),
         "events": run.events, "min_pvalue": run.min_pvalue,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "peak_rss_mb": peak_rss_mb(), "first_pass_peak_mb": run.first_pass_peak_mb,
     }
     if args.workload == "codec":
-        cum = np.cumsum(run.latency_us)
-        if cum[-1]:
-            result["latency_us"] = {"p50": int(np.searchsorted(cum, 0.50 * cum[-1])),
-                                    "p99": int(np.searchsorted(cum, 0.99 * cum[-1])),
-                                    "samples": int(cum[-1])}
+        result["latency_us"] = run.latency_us
     if tracer is not None:
         layers = tracer.metrics()
         layers["cli.import_s"] = import_s

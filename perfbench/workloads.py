@@ -18,8 +18,10 @@ WORKLOADS = ("analyze", "simulate", "codec")
 SIM_TRIALS = 2_000
 # A pass makes twelve chi-square tests (the passes of a run repeat them with
 # the same seeds) and comparing two commits takes a few dozen seeds: 1e-6 keeps
-# chance alarms far below 1e-3 per comparison, while a broken encoder or
-# decoder still drives every p-value to about 0.
+# chance alarms far below 1e-3 per comparison.  At 2 000 trials a key value
+# whose probability is off by 26-43% (a = 4-8) still fails with 90% power,
+# against 20-33% at the CLI default 1e-3; decode errors and key disagreement
+# fail the gate at any level.
 SIM_SIGNIFICANCE = 1e-6
 CODEC_JOB = 100             # messages in one timed codec job
 # the fixed work of an untraced, traced or counting run
