@@ -18,8 +18,6 @@ from .designs import (
     TacticalParams,
     check_affine,
     classify_gdd,
-    dual,
-    incidence_gram,
     verify_bibd,
     verify_gdd,
     verify_resolution,
@@ -28,12 +26,10 @@ from .designs import (
 from .mosaics import (
     CyclicQuasigroup,
     FieldAdditiveQuasigroup,
-    FunctionalForm,
     Mosaic,
     Quasigroup,
     RateReport,
     TableQuasigroup,
-    check_block_rate_optimal,
     construct_from_resolvable,
     dual_mosaic,
     from_functional_form,
@@ -56,11 +52,7 @@ from .families import (
     clatworthy_r1,
     clatworthy_r2,
     denniston_design,
-    denniston_geometry,
     denniston_point_set,
-    enumerate_hcd,
-    enumerate_rcd,
-    enumerate_uc,
     td_design,
 )
 from .hashprops import (

@@ -2,7 +2,7 @@
 identities, hash properties and simulation, with JSON output throughout.
 
 Exit codes: 0 success, 1 property-check failure (with a witness in the JSON),
-2 parameter/validation errors.
+2 parameter/validation errors, unreadable files included.
 """
 
 from __future__ import annotations
@@ -107,6 +107,8 @@ def _parse_pa(spec, a):
         return None
     if spec.startswith("point:"):
         idx = int(spec.split(":", 1)[1])
+        if not 0 <= idx < a:
+            raise CliError(f"--pa point index {idx} is out of range for {a} colors")
         p = np.zeros(a)
         p[idx] = 1.0
         return p
@@ -334,7 +336,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -118,6 +118,7 @@ class IncidenceStructure:
         return IncidenceStructure(self.N.T)
 
     def gram(self):
+        """The exact integer matrix N N^T."""
         Nl = self.N.astype(np.int64)
         return Nl @ Nl.T
 
@@ -131,15 +132,6 @@ class IncidenceStructure:
 
     def __repr__(self):
         return f"IncidenceStructure(v={self.v}, b={self.b})"
-
-
-def dual(D: IncidenceStructure) -> IncidenceStructure:
-    return D.dual()
-
-
-def incidence_gram(D: IncidenceStructure) -> np.ndarray:
-    """The exact integer matrix N N^T."""
-    return D.gram()
 
 
 def verify_tactical(D: IncidenceStructure):

@@ -375,24 +375,8 @@ class DennistonGeometry:
         return pts
 
 
-def denniston_geometry(t: int, l: int) -> DennistonGeometry:
-    return DennistonGeometry(t, l)
-
-
 def denniston_point_set(geom: DennistonGeometry):
     return [geom.phi_x(m) for m in range(geom.v)]
-
-
-def enumerate_uc(geom: DennistonGeometry, c: int):
-    return [geom.phi_uc(c, j) for j in range(geom.a)]
-
-
-def enumerate_hcd(geom: DennistonGeometry, c: int, d: int):
-    return geom.hcd_list(c, d)
-
-
-def enumerate_rcd(geom: DennistonGeometry, c: int, d: int):
-    return geom.rcd_slopes(c, d)
 
 
 def denniston_design(geom: DennistonGeometry):
@@ -578,20 +562,22 @@ def clatworthy_r2() -> CataloguedGDD:
     return CataloguedGDD("R2", D, res, partition, params)
 
 
+# family -> (builder, required parameters, optional parameters)
 FAMILY_BUILDERS = {
-    "m1": (build_m1, ("t", "q")),
-    "m2": (build_m2, ("t", "l")),
-    "m3": (build_m3, ("t", "l", "u")),
-    "m4": (build_m4, ("k", "q")),
+    "m1": (build_m1, ("t", "q"), ()),
+    "m2": (build_m2, ("t", "l"), ()),
+    "m3": (build_m3, ("t", "l", "u"), ()),
+    "m4": (build_m4, ("k", "q"), ("slopes",)),
 }
 
 
 def build_family(family: str, **params) -> Mosaic:
     try:
-        builder, names = FAMILY_BUILDERS[family]
+        builder, names, optional = FAMILY_BUILDERS[family]
     except KeyError:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILY_BUILDERS)}")
     missing = [n for n in names if params.get(n) is None]
     if missing:
         raise ValueError(f"family {family!r} needs parameters {names}, missing {missing}")
-    return builder(**{n: params[n] for n in names})
+    given = [n for n in optional if params.get(n) is not None]
+    return builder(**{n: params[n] for n in names + tuple(given)})

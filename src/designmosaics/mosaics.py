@@ -4,15 +4,16 @@ A mosaic is a family of incidence structures on a common point set [v] and
 block index set [b] whose incidence matrices sum to the all-ones matrix.  Its
 functional form f(x, s) reads off the unique member in which (x, s) is
 incident; the preimage enumerator g(s, alpha, kappa) walks the k points of
-f_s^{-1}(alpha) bijectively.  Mosaics are kept lazily as (f, g) pairs and
-materialized to dense matrices only for verification.
+f_s^{-1}(alpha) bijectively.  Mosaics are kept lazily as (f, g) pairs; the one
+dense form a mosaic ever materializes is its color matrix F[x, s] = f(x, s),
+from which members, preimages and joint laws are derived on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -115,16 +116,6 @@ class TableQuasigroup(Quasigroup):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FunctionalForm:
-    v: int
-    b: int
-    a: int
-    k: int
-    f: Callable
-    g: Optional[Callable]
-
-
-@dataclass(frozen=True)
 class MosaicCert:
     v: int
     b: int
@@ -153,8 +144,7 @@ class Mosaic:
         self.point_classes = point_classes
         self.meta = dict(meta or {})
         self._colors = None
-        self._stack = None
-        self._preimages = None
+        self._stack = None    # from_members' input stack, for verify_mosaic
 
     def __repr__(self):
         fam = self.meta.get("family")
@@ -169,10 +159,7 @@ class Mosaic:
     def g(self, s, alpha, kappa):
         if self._g is not None:
             return self._g(s, alpha, kappa)
-        return int(self._preimage_table()[alpha][s][kappa])
-
-    def functional_form(self) -> FunctionalForm:
-        return FunctionalForm(v=self.v, b=self.b, a=self.a, k=self.k, f=self.f, g=self.g)
+        return int(np.flatnonzero(self.color_matrix()[:, s] == alpha)[kappa])
 
     # -- materialization --------------------------------------------------------
 
@@ -187,25 +174,15 @@ class Mosaic:
         return self._colors
 
     def member_matrices(self) -> np.ndarray:
-        if self._stack is None:
-            F = self.color_matrix()
-            self._stack = (F[None, :, :] == np.arange(self.a)[:, None, None]).astype(np.uint8)
-        return self._stack
+        """The (a, v, b) stack of member incidence matrices, built from F."""
+        F = self.color_matrix()
+        return (F[None, :, :] == np.arange(self.a)[:, None, None]).astype(np.uint8)
 
     def member(self, alpha) -> IncidenceStructure:
-        return IncidenceStructure(self.member_matrices()[alpha])
+        return IncidenceStructure((self.color_matrix() == alpha).astype(np.uint8))
 
     def members(self):
         return [self.member(alpha) for alpha in range(self.a)]
-
-    def _preimage_table(self):
-        if self._preimages is None:
-            stack = self.member_matrices()
-            self._preimages = [
-                [np.flatnonzero(stack[alpha, :, s]) for s in range(self.b)]
-                for alpha in range(self.a)
-            ]
-        return self._preimages
 
 
 def from_functional_form(f, g, v, b, a, k=None, validate=True, **kwargs) -> Mosaic:
@@ -261,7 +238,9 @@ def verify_mosaic(M: Mosaic):
 
 def verify_functional_form(M: Mosaic):
     """Exhaustive consistency of (f, g): for every (s, alpha) the map
-    kappa -> g(s, alpha, kappa) must hit f_s^{-1}(alpha) bijectively."""
+    kappa -> g(s, alpha, kappa) must hit f_s^{-1}(alpha) bijectively.  The
+    colors of g's points are read from the color matrix."""
+    F = M.color_matrix()
     for s in range(M.b):
         for alpha in range(M.a):
             seen = set()
@@ -272,7 +251,7 @@ def verify_functional_form(M: Mosaic):
                 if x in seen:
                     return CheckFailure("preimage enumerator repeats a point", (s, alpha, x))
                 seen.add(x)
-                got = M.f(x, s)
+                got = int(F[x, s])
                 if got != alpha:
                     return CheckFailure("f(g(s,alpha,kappa), s) != alpha", (s, alpha, kappa, x, got))
     return MosaicCert(M.v, M.b, M.a, M.k)
@@ -434,10 +413,6 @@ def rates(M: Mosaic) -> RateReport:
                           "optimal" if is_td else "near-optimal", reason,
                           td_rate_floor=floor)
     raise ValueError("rate analysis needs classified members (member_kind set)")
-
-
-def check_block_rate_optimal(M: Mosaic) -> RateReport:
-    return rates(M)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,8 @@ class Channel:
         W = np.asarray(W, dtype=float)
         if W.ndim != 2:
             raise ValueError("channel matrix must be two-dimensional")
+        if not np.isfinite(W).all():
+            raise ValueError("channel entries must be finite")
         if (W < -tol).any():
             raise ValueError("channel entries must be nonnegative")
         sums = W.sum(axis=1)
@@ -171,6 +173,8 @@ class JointXZ:
         P = np.asarray(P, dtype=float)
         if P.ndim != 2:
             raise ValueError("joint matrix must be two-dimensional")
+        if not np.isfinite(P).all():
+            raise ValueError("joint entries must be finite")
         if (P < -tol).any():
             raise ValueError("joint entries must be nonnegative")
         if abs(P.sum() - 1) > max(tol, 1e-9):
@@ -210,6 +214,19 @@ class JointXZ:
 # joint distributions of mosaic-based schemes
 # ---------------------------------------------------------------------------
 
+def _scatter_by_color(mosaic: Mosaic, rows) -> np.ndarray:
+    """The (a, nz, b) array whose entry (alpha, z, s) sums rows[x, z] over the
+    points x with f(x, s) = alpha: one bincount per output letter z over the
+    cell codes F[x, s] * b + s, so v * nz * b work in all."""
+    a, b = mosaic.a, mosaic.b
+    codes = (mosaic.color_matrix().astype(np.int64) * b + np.arange(b)).ravel()
+    out = np.empty((a, rows.shape[1], b))
+    for z in range(rows.shape[1]):
+        weights = np.repeat(rows[:, z], b)
+        out[:, z, :] = np.bincount(codes, weights, minlength=a * b).reshape(a, b)
+    return out
+
+
 class WiretapJoint:
     """P_{ZXSA}(z,x,s,alpha) = w(z|x) N_alpha(x,s) P_A(alpha) / (bk).
 
@@ -225,8 +242,7 @@ class WiretapJoint:
         p_a = np.asarray(p_a, dtype=float).ravel()
         if p_a.shape != (mosaic.a,) or (p_a < 0).any() or abs(p_a.sum() - 1) > 1e-9:
             raise ValueError("P_A must be a distribution on the color set")
-        N = mosaic.member_matrices().astype(float)
-        self.cond_zs = np.einsum("xz,axs->azs", channel.W, N) / (mosaic.b * mosaic.k)
+        self.cond_zs = _scatter_by_color(mosaic, channel.W) / (mosaic.b * mosaic.k)
         self.p_z = channel.output_distribution()
         self.p_a = p_a
         self.mosaic = mosaic
@@ -240,12 +256,6 @@ class WiretapJoint:
     def p_zsa(self) -> np.ndarray:
         return self.cond_zs * self.p_a[:, None, None]
 
-    def tensor(self) -> np.ndarray:
-        """The full P_{ZXSA} array, axes (z, x, s, alpha)."""
-        N = self.mosaic.member_matrices().astype(float)
-        t = np.einsum("xz,axs,a->zxsa", self.channel.W, N, self.p_a)
-        return t / (self.mosaic.b * self.mosaic.k)
-
 
 class PAJoint:
     """P_{XZSA}(x,z,s,alpha) = P_XZ(x,z) N_alpha(x,s) / b.
@@ -257,9 +267,8 @@ class PAJoint:
     def __init__(self, mosaic: Mosaic, joint: JointXZ, tol=1e-10):
         if joint.v != mosaic.v:
             raise ValueError(f"source size {joint.v} != mosaic point count {mosaic.v}")
-        N = mosaic.member_matrices().astype(float)
         r = mosaic.b * mosaic.k // mosaic.v
-        pzN = np.einsum("xz,axs->azs", joint.P, N)
+        pzN = _scatter_by_color(mosaic, joint.P)
         self.cond_zs = pzN * (mosaic.a / mosaic.b)                 # P_{ZS|A=alpha}
         self.cond_s_given_za = pzN / (r * joint.P_Z[None, :, None])
         self.p_z = joint.P_Z
@@ -274,11 +283,6 @@ class PAJoint:
     def p_zsa(self) -> np.ndarray:
         return self.cond_zs / self.mosaic.a
 
-    def tensor(self) -> np.ndarray:
-        """The full P_{XZSA} array, axes (x, z, s, alpha)."""
-        N = self.mosaic.member_matrices().astype(float)
-        return np.einsum("xz,axs->xzsa", self.joint.P, N) / self.mosaic.b
-
 
 def key_marginal_exact(mosaic: Mosaic, P_XZ) -> list:
     """The key marginal P_A in exact rational arithmetic.
@@ -287,12 +291,14 @@ def key_marginal_exact(mosaic: Mosaic, P_XZ) -> list:
     uniformity of the result is an identity, not an approximation.
     """
     P = np.asarray(P_XZ, dtype=float)
-    row_sums = mosaic.member_matrices().sum(axis=2)   # (a, v) replication counts
+    a, v = mosaic.a, mosaic.v
+    codes = mosaic.color_matrix().astype(np.int64) * v + np.arange(v)[:, None]
+    row_sums = np.bincount(codes.ravel(), minlength=a * v).reshape(a, v)   # replications
     p_x = [sum(Fraction(float(t)) for t in row) for row in P]
     out = []
-    for alpha in range(mosaic.a):
+    for alpha in range(a):
         acc = Fraction(0)
-        for x in range(mosaic.v):
+        for x in range(v):
             acc += p_x[x] * int(row_sums[alpha, x])
         out.append(acc / mosaic.b)
     return out

@@ -6,8 +6,6 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .designs import incidence_from_csv, incidence_to_csv, params_from_json
 from .families import build_family
 from .mosaics import Mosaic, from_members, mosaic_header
@@ -16,6 +14,10 @@ from .mosaics import Mosaic, from_members, mosaic_header
 def content_hash(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def _header_hash(head: dict) -> str:
+    return content_hash({k: v for k, v in head.items() if k != "content_hash"})
 
 
 def save_mosaic(M: Mosaic, json_path, members: bool = False) -> dict:
@@ -29,7 +31,7 @@ def save_mosaic(M: Mosaic, json_path, members: bool = False) -> dict:
             incidence_to_csv(M.member(alpha), json_path.with_name(name))
             names.append(name)
         head["members"] = names
-    head["content_hash"] = content_hash({k: v for k, v in head.items() if k != "content_hash"})
+    head["content_hash"] = _header_hash(head)
     json_path.write_text(json.dumps(head, indent=2))
     return head
 
@@ -40,6 +42,8 @@ def load_mosaic(json_path) -> Mosaic:
     head = json.loads(json_path.read_text())
     if head.get("format") != "mosaic":
         raise ValueError(f"{json_path} is not a mosaic header")
+    if head.get("content_hash") != _header_hash(head):
+        raise ValueError(f"{json_path}: header does not match its content_hash")
     member_params = head.get("member_params")
     params = None if member_params is None else params_from_json(member_params)
     classes = head.get("point_classes")
@@ -50,18 +54,10 @@ def load_mosaic(json_path) -> Mosaic:
         M = from_members(structures, member_kind=head.get("member_kind"),
                          member_params=params, point_classes=classes,
                          meta={"family": head.get("family"), **head.get("params", {})})
-        if (M.v, M.b, M.a) != (head["v"], head["b"], head["a"]):
-            raise ValueError("member matrices disagree with the declared sizes")
-        return M
-    family = head.get("family")
-    if family is None:
+    elif head.get("family") is None:
         raise ValueError("header has neither member files nor a family tag")
-    return build_family(family, **head.get("params", {}))
-
-
-def save_matrix_csv(matrix, path):
-    np.savetxt(path, np.asarray(matrix), fmt="%.17g", delimiter=",")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))
+    else:
+        M = build_family(head["family"], **head.get("params", {}))
+    if (M.v, M.b, M.a) != (head["v"], head["b"], head["a"]):
+        raise ValueError(f"{json_path}: mosaic sizes disagree with the declared sizes")
+    return M

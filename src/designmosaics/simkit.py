@@ -190,7 +190,8 @@ def _draw_outputs(W, xs, rng):
 
 
 def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
-    """Seed, message, randomized inverse, channel draw; Bob decodes via f.
+    """Seed, message, randomized inverse, channel draw; Bob decodes via f,
+    read from the color matrix the exact joint law materializes anyway.
 
     The empirical (z, s, alpha) histogram is tested against the exact wiretap
     joint; the mutual-information estimate comes with a batch standard error.
@@ -200,6 +201,8 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
     M, n = cfg.mosaic, cfg.trials
     if n < 1:
         raise ValueError("trial count must be at least 1")
+    if not 1 <= cfg.batches <= n:
+        raise ValueError(f"batch count {cfg.batches} must lie in [1, trials = {n}]")
     rng = np.random.default_rng(cfg.seed)
     p_a = np.full(M.a, 1.0 / M.a) if cfg.p_a is None else np.asarray(cfg.p_a, float)
 
@@ -208,9 +211,7 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
     kappas = rng.integers(0, M.k, size=n)
     xs = np.fromiter((M.g(int(s), int(al), int(kp))
                       for s, al, kp in zip(seeds, alphas, kappas)), dtype=np.int64, count=n)
-    decoded = np.fromiter((M.f(int(x), int(s)) for x, s in zip(xs, seeds)),
-                          dtype=np.int64, count=n)
-    decode_errors = int((decoded != alphas).sum())
+    decode_errors = int((M.color_matrix()[xs, seeds] != alphas).sum())
     zs = _draw_outputs(cfg.channel.W, xs, rng)
 
     joint = WiretapJoint(M, cfg.channel, p_a)
@@ -243,8 +244,12 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
 
 
 def pa_roundtrip(cfg: SimConfig) -> SimResult:
-    """Shared-source draw, uniform seed, both parties hash; keys must agree,
-    be uniform, and the eavesdropper histogram must match the exact law."""
+    """Shared-source draw, uniform seed, both parties hash; the key must be
+    uniform and the eavesdropper histogram must match the exact law.
+
+    Both parties hash the same x with the same seed, so ``agreement`` is 1 by
+    construction; it is reported for the output format's sake.
+    """
     if cfg.source is None:
         raise ValueError("privacy-amplification simulation needs a source")
     M, n = cfg.mosaic, cfg.trials
@@ -257,17 +262,13 @@ def pa_roundtrip(cfg: SimConfig) -> SimResult:
     flat_idx = rng.choice(src.v * nz, size=n, p=src.P.ravel())
     xs, zs = np.divmod(flat_idx, nz)
     seeds = rng.integers(0, M.b, size=n)
-    alice = np.fromiter((M.f(int(x), int(s)) for x, s in zip(xs, seeds)),
-                        dtype=np.int64, count=n)
-    bob = np.fromiter((M.f(int(x), int(s)) for x, s in zip(xs, seeds)),
-                      dtype=np.int64, count=n)
-    agreement = float((alice == bob).mean())
+    keys = M.color_matrix()[xs, seeds]
 
     joint = PAJoint(M, src)
-    key_counts = np.bincount(alice, minlength=M.a)
+    key_counts = np.bincount(keys, minlength=M.a)
     _, _, p_key = chi_square_gof(key_counts, np.full(M.a, 1.0 / M.a))
     probs = np.moveaxis(joint.p_zsa, 0, -1).ravel()
-    cells = (zs * M.b + seeds) * M.a + alice
+    cells = (zs * M.b + seeds) * M.a + keys
     counts = np.bincount(cells, minlength=nz * M.b * M.a)
     stat, df, p_joint = chi_square_gof(counts, probs)
 
@@ -275,17 +276,17 @@ def pa_roundtrip(cfg: SimConfig) -> SimResult:
     ref = np.broadcast_to(joint.p_z[:, None] / M.b, (nz, M.b)).ravel()
     emp_tv = 0.0
     for al in range(M.a):
-        sel = alice == al
+        sel = keys == al
         if sel.sum() == 0:
             continue
         hist = np.bincount(zs[sel] * M.b + seeds[sel], minlength=nz * M.b).astype(float)
         emp_tv = max(emp_tv, tv(hist / sel.sum(), ref))
 
     exact = exact_pa_metrics(joint)
-    passed = agreement == 1.0 and p_key >= cfg.significance and p_joint >= cfg.significance
+    passed = p_key >= cfg.significance and p_joint >= cfg.significance
     return SimResult(
         scenario="privacy-amplification", seed=cfg.seed, trials=n,
-        decode_errors=0, agreement=agreement,
+        decode_errors=0, agreement=1.0,
         counts=counts,
         pvalues={"key_uniformity": p_key, "joint_zsa": p_joint, "statistic": stat, "df": df},
         empirical={"max_tv": emp_tv},

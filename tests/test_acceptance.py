@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import designmosaics as dm
-from designmosaics.families import denniston_geometry, m1_spec
+from designmosaics.families import DennistonGeometry, m1_spec
 
 
 def criterion(num, name):
@@ -100,7 +100,7 @@ def test_criterion_1_family_conformance():
 def test_criterion_2_denniston():
     for t in (2, 3):
         for l in range(1, t + 1):
-            geom = denniston_geometry(t, l)
+            geom = DennistonGeometry(t, l)
             pts = dm.denniston_point_set(geom)
             assert len(set(pts)) == len(pts) == 1 + (2 ** t + 1) * (2 ** l - 1)
             arc = set(pts)
@@ -220,14 +220,14 @@ def test_criterion_5_key_uniformity():
 @criterion(6, "block-rate optimality verdicts and the M1 t=3 ratio")
 def test_criterion_6_block_rate_optimality():
     for t, l in M2_GRID:
-        assert dm.check_block_rate_optimal(dm.build_m2(t, l)).optimal, (t, l)
+        assert dm.rates(dm.build_m2(t, l)).optimal, (t, l)
     for k, q in M4_GRID:
-        assert dm.check_block_rate_optimal(dm.build_m4(k, q)).optimal, (k, q)
+        assert dm.rates(dm.build_m4(k, q)).optimal, (k, q)
     for t, q in M1_GRID:
-        rep = dm.check_block_rate_optimal(dm.build_m1(t, q))
+        rep = dm.rates(dm.build_m1(t, q))
         if t == 2:
             assert rep.optimal, (t, q)
-    rep = dm.check_block_rate_optimal(dm.build_m1(3, 2))
+    rep = dm.rates(dm.build_m1(3, 2))
     assert not rep.optimal
     # the reported block rate matches the closed form to 1e-12 and obeys the
     # family bound log b / log v <= 1 + (1/t)(1 - log(q-1)/log q)
@@ -261,6 +261,31 @@ def test_criterion_8_explicitness_round_trip():
     for M in _grid_mosaics():
         assert M.v <= 2 ** 12
         assert dm.verify_functional_form(M), M
+
+
+def test_color_matrix_paths_match_member_stack_oracle():
+    """Over the acceptance grid, the joint laws scattered from the color matrix
+    match an einsum over the member stack to 1e-12, and a from_members mosaic's
+    g walks the points of its input stack in ascending order."""
+    rng = np.random.default_rng(2102)
+    for M in _grid_mosaics():
+        N = M.member_matrices().astype(float)
+        channel = dm.random_channel(M.v, 3, rng)
+        want = np.einsum("xz,axs->azs", channel.W, N) / (M.b * M.k)
+        assert np.abs(dm.WiretapJoint(M, channel).cond_zs - want).max() <= 1e-12, M
+        src = dm.random_source(M.v, 3, rng)
+        J = dm.PAJoint(M, src)
+        pzN = np.einsum("xz,axs->azs", src.P, N)
+        r = M.b * M.k // M.v
+        assert np.abs(J.cond_zs - pzN * (M.a / M.b)).max() <= 1e-12, M
+        assert np.abs(J.cond_s_given_za - pzN / (r * src.P_Z[None, :, None])).max() <= 1e-12, M
+
+        stack = np.stack([D.N for D in M.members()])
+        E = dm.from_members([dm.IncidenceStructure(m) for m in stack])
+        for s in range(M.b):
+            for alpha in range(M.a):
+                want_pts = np.flatnonzero(stack[alpha, :, s]).tolist()
+                assert [E.g(s, alpha, kappa) for kappa in range(E.k)] == want_pts, (M, s, alpha)
 
 
 def _op_tables(gf):

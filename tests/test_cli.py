@@ -5,7 +5,7 @@ import pytest
 
 from designmosaics.cli import main
 from designmosaics.serialize import load_mosaic, save_mosaic
-from designmosaics.families import build_m1
+from designmosaics.families import build_m1, build_m4
 
 
 def run(capsys, *argv):
@@ -124,12 +124,23 @@ def test_simulate_wiretap_cli(capsys):
     assert payload["decode_errors"] == 0
 
 
-def test_validation_failures_exit_2(capsys):
+def test_validation_failures_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "--family", "m1", "--t", "2")  # missing q
     assert code == 2
     assert "error" in json.loads(err)
     code, _, err = run(capsys, "verify", "--family", "m4", "--k", "9", "--q", "3")
     assert code == 2
+    m1 = ("--family", "m1", "--t", "2", "--q", "2")
+    for argv in (("bounds", *m1, "--channel", "identity", "--pa", "point:99"),
+                 ("bounds", *m1, "--channel", "identity", "--pa", "point:-1"),
+                 ("simulate", *m1, "--channel", "identity", "--pa", "point:2")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "out of range" in json.loads(err)["error"]
+    missing = str(tmp_path / "absent.csv")
+    for argv in (("bounds", *m1, "--channel", missing),
+                 ("bounds", *m1, "--scenario", "pa", "--source", missing)):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and missing in json.loads(err)["error"]
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--family", "m9"])     # argparse rejects the choice
     assert exc.value.code == 2
@@ -142,8 +153,14 @@ def test_output_contains_content_hash(capsys):
 
 
 def test_save_load_round_trip_without_members(tmp_path):
-    M = build_m1(2, 3)
     path = tmp_path / "h.json"
-    save_mosaic(M, path)
-    M2 = load_mosaic(path)
-    assert np.array_equal(M.color_matrix(), M2.color_matrix())
+    for M in (build_m1(2, 3), build_m4(2, 5, slopes=(1, 3))):
+        save_mosaic(M, path)
+        M2 = load_mosaic(path)
+        assert M2.meta == M.meta
+        assert np.array_equal(M.color_matrix(), M2.color_matrix())
+    head = json.loads(path.read_text())
+    head["v"] = 999
+    path.write_text(json.dumps(head))
+    with pytest.raises(ValueError, match="content_hash"):
+        load_mosaic(path)

@@ -9,7 +9,6 @@ from designmosaics.designs import (
     check_affine,
     classify_gdd,
     incidence_from_csv,
-    incidence_gram,
     incidence_to_csv,
     params_from_json,
     params_to_json,
@@ -154,8 +153,8 @@ def test_affine_ag_2_3_2():
 
 def test_not_affine_when_bose_strict():
     # the K6 pair design: resolvable (6, 2, 1) BIBD with b = 15 > v + r - 1 = 10
-    from designmosaics.families import denniston_design, denniston_geometry
-    D, R = denniston_design(denniston_geometry(2, 1))
+    from designmosaics.families import DennistonGeometry, denniston_design
+    D, R = denniston_design(DennistonGeometry(2, 1))
     assert verify_bibd(D, 1)
     rep = check_affine(D, R)
     assert not rep.affine and "Bose" in rep.reason
@@ -163,18 +162,18 @@ def test_not_affine_when_bose_strict():
 
 def test_incidence_gram():
     D, _ = ag_design(2, 3)
-    G = incidence_gram(D)
+    G = D.gram()
     expect = 3 * np.eye(9, dtype=np.int64) + np.ones((9, 9), dtype=np.int64)
     assert np.array_equal(G, expect)
     empty = IncidenceStructure(np.zeros((3, 4)))
-    assert np.array_equal(incidence_gram(empty), np.zeros((3, 3)))
+    assert np.array_equal(empty.gram(), np.zeros((3, 3)))
     cat = clatworthy_r1()
     C = np.zeros((4, 4), dtype=np.int64)
     for cls in cat.partition:
         idx = np.array(cls)
         C[np.ix_(idx, idx)] = 1
     expect = (4 - 2) * np.eye(4, dtype=np.int64) + (2 - 1) * C + np.ones((4, 4), dtype=np.int64)
-    assert np.array_equal(incidence_gram(cat.structure), expect)
+    assert np.array_equal(cat.structure.gram(), expect)
 
 
 def test_fisher_bose_hanani_inequalities():

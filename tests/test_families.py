@@ -13,11 +13,7 @@ from designmosaics.families import (
     clatworthy_r1,
     clatworthy_r2,
     denniston_design,
-    denniston_geometry,
     denniston_point_set,
-    enumerate_hcd,
-    enumerate_rcd,
-    enumerate_uc,
     m1_spec,
     m4_spec,
     td_design,
@@ -67,7 +63,7 @@ def test_m1_corrected_lambda():
 
 @pytest.mark.parametrize("t,l", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
 def test_denniston_cardinality_and_line_sections(t, l):
-    geom = denniston_geometry(t, l)
+    geom = DennistonGeometry(t, l)
     pts = denniston_point_set(geom)
     assert len(pts) == len(set(pts)) == 1 + (2 ** t + 1) * (2 ** l - 1) == geom.v
     arc = set(pts)
@@ -84,11 +80,11 @@ def test_denniston_cardinality_and_line_sections(t, l):
 
 @pytest.mark.parametrize("t,l", [(2, 1), (2, 2), (3, 2)])
 def test_denniston_uc_and_blocks_brute_force(t, l):
-    geom = denniston_geometry(t, l)
+    geom = DennistonGeometry(t, l)
     gf = geom.gf
     arc = set(denniston_point_set(geom))
     for c in range(geom.q + 1):
-        uc = enumerate_uc(geom, c)
+        uc = [geom.phi_uc(c, j) for j in range(geom.a)]
         assert len(uc) == geom.a and 0 in uc
         brute = set()
         for d in gf.elements():
@@ -105,14 +101,14 @@ def test_denniston_uc_and_blocks_brute_force(t, l):
 
 
 def test_denniston_rcd_slopes():
-    geom = denniston_geometry(3, 2)
+    geom = DennistonGeometry(3, 2)
     for c in range(geom.q + 1):
         for j in range(1, geom.a):
             d = geom.phi_uc(c, j)
-            slopes = enumerate_rcd(geom, c, d)
+            slopes = geom.rcd_slopes(c, d)
             # exactly k slopes, all distinct, two per z in H_{c,d}
             assert len(slopes) == geom.k == len(set(slopes))
-            zs = enumerate_hcd(geom, c, d)
+            zs = geom.hcd_list(c, d)
             assert len(zs) == geom.k // 2
             # membership: every listed slope's section really meets the line
             for ct in slopes:
@@ -120,23 +116,23 @@ def test_denniston_rcd_slopes():
 
 
 def test_denniston_hcd_trace_condition():
-    geom = denniston_geometry(3, 3)
+    geom = DennistonGeometry(3, 3)
     gf = geom.gf
     c, j = 2, 3
     d = geom.phi_uc(c, j)
-    for z in enumerate_hcd(geom, c, d):
+    for z in geom.hcd_list(c, d):
         val = gf.div(gf.mul(geom.e_coeff(c), z),
                      gf.mul(gf.mul(geom.eta2, geom.eta2), gf.mul(d, d)))
         assert z < geom.k and gf.trace(val) == 1
 
 
 def test_denniston_errors():
-    geom = denniston_geometry(2, 1)
+    geom = DennistonGeometry(2, 1)
     with pytest.raises(ValueError):
-        enumerate_rcd(geom, 0, 0)          # d = 0 block has no slope list
-    bad_d = next(d for d in geom.gf.elements() if d not in enumerate_uc(geom, 0))
+        geom.rcd_slopes(0, 0)          # d = 0 block has no slope list
+    bad_d = next(d for d in geom.gf.elements() if d not in [geom.phi_uc(0, j) for j in range(geom.a)])
     with pytest.raises(ValueError):
-        enumerate_hcd(geom, 0, bad_d)
+        geom.hcd_list(0, bad_d)
     with pytest.raises(ValueError):
         DennistonGeometry(2, 3)
     with pytest.raises(ValueError):
@@ -145,7 +141,7 @@ def test_denniston_errors():
 
 def test_denniston_irreducibility_invariant():
     for t in (2, 3, 4):
-        geom = denniston_geometry(t, 1)
+        geom = DennistonGeometry(t, 1)
         gf = geom.gf
         val = gf.div(gf.mul(geom.eta1, geom.eta3), gf.mul(geom.eta2, geom.eta2))
         assert gf.trace(val) == 1
@@ -163,7 +159,7 @@ def test_m2_parameters():
 
 def test_m2_full_arc_is_affine_plane():
     # l = t: the arc is all of AG(2, q), so D = AG(2, q)
-    geom = denniston_geometry(2, 2)
+    geom = DennistonGeometry(2, 2)
     D, R = denniston_design(geom)
     assert verify_bibd(D, 1)
     assert verify_resolution(D, R.classes)
@@ -188,7 +184,7 @@ def test_m2_members_verify():
 
 
 def test_m2_block_point_sets_lie_on_arc_and_line():
-    geom = denniston_geometry(3, 2)
+    geom = DennistonGeometry(3, 2)
     gf = geom.gf
     for c in range(geom.q + 1):
         for j in range(geom.a):

@@ -11,7 +11,6 @@ from designmosaics.mosaics import (
     FieldAdditiveQuasigroup,
     Mosaic,
     TableQuasigroup,
-    check_block_rate_optimal,
     construct_from_resolvable,
     dual_mosaic,
     from_functional_form,
@@ -124,8 +123,7 @@ def test_verify_mosaic_single_complete_member():
 
 def test_functional_form_round_trip():
     M = build_m1(2, 3)
-    ff = M.functional_form()
-    M2 = from_functional_form(ff.f, ff.g, ff.v, ff.b, ff.a, k=ff.k)
+    M2 = from_functional_form(M.f, M.g, M.v, M.b, M.a, k=M.k)
     assert np.array_equal(M.color_matrix(), M2.color_matrix())
     for a1, a2 in zip(M.members(), M2.members()):
         assert a1 == a2
@@ -275,12 +273,12 @@ def test_color_rates_match_hand_formulas():
 
 
 def test_block_rate_optimality_verdicts():
-    assert check_block_rate_optimal(build_m2(2, 2)).optimal
-    assert check_block_rate_optimal(build_m4(2, 3)).optimal
-    assert check_block_rate_optimal(build_m1(2, 2)).optimal      # lambda = 1
-    rep = check_block_rate_optimal(build_m1(3, 2))
+    assert rates(build_m2(2, 2)).optimal
+    assert rates(build_m4(2, 3)).optimal
+    assert rates(build_m1(2, 2)).optimal      # lambda = 1
+    rep = rates(build_m1(3, 2))
     assert not rep.optimal and rep.verdict == "near-optimal"
-    rep3 = check_block_rate_optimal(build_m3(2, 1, 2))
+    rep3 = rates(build_m3(2, 1, 2))
     assert not rep3.optimal and rep3.td_rate_floor is not None
 
 

@@ -45,6 +45,19 @@ from designmosaics.simkit import (
 )
 
 
+def wiretap_tensor(J):
+    """The full P_{ZXSA} array of a WiretapJoint, axes (z, x, s, alpha)."""
+    N = J.mosaic.member_matrices().astype(float)
+    t = np.einsum("xz,axs,a->zxsa", J.channel.W, N, J.p_a)
+    return t / (J.mosaic.b * J.mosaic.k)
+
+
+def pa_tensor(J):
+    """The full P_{XZSA} array of a PAJoint, axes (x, z, s, alpha)."""
+    N = J.mosaic.member_matrices().astype(float)
+    return np.einsum("xz,axs->xzsa", J.joint.P, N) / J.mosaic.b
+
+
 # -- divergences ---------------------------------------------------------------
 
 def test_divergences_at_equal_distributions():
@@ -121,6 +134,9 @@ def test_channel_validation():
     assert sub.substochastic
     with pytest.raises(ValueError):
         Channel(np.array([[0.9, 0.3], [0.5, 0.5]]), substochastic=True)
+    for substochastic in (False, True):
+        with pytest.raises(ValueError, match="finite"):
+            Channel(np.array([[np.nan, 1.0], [0.5, 0.5]]), substochastic=substochastic)
 
 
 def test_joint_validation():
@@ -128,6 +144,8 @@ def test_joint_validation():
         JointXZ(np.array([[0.3, 0.3], [0.3, 0.3]]))
     with pytest.raises(ValueError):
         JointXZ(np.array([[0.5, 0.0], [0.5, 0.0]]))  # P_Z has a zero column
+    with pytest.raises(ValueError, match="finite"):
+        JointXZ(np.array([[np.nan, 0.5], [0.25, 0.25]]))
     j = JointXZ(np.array([[0.25, 0.25], [0.25, 0.25]]))
     assert np.allclose(j.P_Z, [0.5, 0.5])
 
@@ -143,7 +161,7 @@ def test_wiretap_joint_pz_two_ways():
         pz_tensor = J.p_zsa.sum(axis=(0, 2))
         assert np.abs(pz_tensor - J.p_z).max() < 1e-12
         assert abs(J.p_zsa.sum() - 1.0) < 1e-12
-        assert abs(J.tensor().sum() - 1.0) < 1e-12
+        assert abs(wiretap_tensor(J).sum() - 1.0) < 1e-12
 
 
 def test_wiretap_point_mass_marginal_is_member_conditional():
@@ -186,7 +204,7 @@ def test_pa_joint_seed_conditional_formula():
             want = (p_z @ N[alpha]) / (r * p_z.sum())
             assert np.abs(J.cond_s_given_za[alpha, z] - want).max() < 1e-15
     # the same conditional from the full tensor
-    T = J.tensor()  # (x, z, s, alpha)
+    T = pa_tensor(J)  # (x, z, s, alpha)
     cond = T.sum(axis=0)  # (z, s, alpha)
     for alpha in range(M.a):
         got = cond[:, :, alpha] / cond[:, :, alpha].sum(axis=1, keepdims=True)

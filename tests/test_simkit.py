@@ -135,3 +135,5 @@ def test_trial_count_validation():
         pa_roundtrip(SimConfig(mosaic=M, trials=0, seed=1, source=independent_source(4, 2)))
     with pytest.raises(ValueError):
         wiretap_roundtrip(SimConfig(mosaic=M, trials=10, seed=1))
+    with pytest.raises(ValueError, match="batch count"):     # empty batches
+        wiretap_roundtrip(SimConfig(mosaic=M, trials=5, seed=1, channel=identity_channel(4)))
