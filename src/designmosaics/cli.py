@@ -105,15 +105,19 @@ def _parse_source(spec, v, rng):
 def _parse_pa(spec, a):
     if spec in (None, "uniform"):
         return None
-    if spec.startswith("point:"):
-        idx = int(spec.split(":", 1)[1])
-        if not 0 <= idx < a:
-            raise CliError(f"--pa point index {idx} is out of range for {a} colors")
+    point = spec.startswith("point:")
+    try:
+        vals = int(spec[len("point:"):]) if point else np.array([float(t) for t in spec.split(",")])
+    except ValueError:
+        raise CliError(f"--pa {spec!r} is neither 'uniform', 'point:IDX' nor comma-separated weights")
+    if point:
+        if not 0 <= vals < a:
+            raise CliError(f"--pa point index {vals} is out of range for {a} colors")
         p = np.zeros(a)
-        p[idx] = 1.0
+        p[vals] = 1.0
         return p
-    vals = np.array([float(t) for t in spec.split(",")])
-    if len(vals) != a or (vals < 0).any() or abs(vals.sum() - 1) > 1e-9:
+    if (len(vals) != a or not np.isfinite(vals).all() or (vals < 0).any()
+            or abs(vals.sum() - 1) > 1e-9):
         raise CliError(f"--pa must name a distribution on {a} colors")
     return vals
 

@@ -3,8 +3,8 @@
 * ``build_m1``: mosaics of the affine-geometry BIBDs AG_{t-1}(t, q), color
   rate 1/t, functional form f(x; h, beta) = h.x + beta.
 * ``build_m2``: mosaics of Denniston-arc BIBDs in AG(2, 2^t) with block size
-  2^l and lambda = 1; the functional form and its inverse run through the
-  rank/unrank maps of the arc geometry.
+  2^l and lambda = 1; the functional form runs through the rank/unrank maps
+  of the arc geometry, its inverse reads per-class block tables.
 * ``build_m3``: u-fold point multiples of M2 mosaics, singular GDDs.
 * ``build_m4``: mosaics of (q, k, 1) transversal designs obtained from duals
   of affine planes with deleted parallel classes.
@@ -185,6 +185,7 @@ class DennistonGeometry:
         self.eta2 = self._pick_eta2()
         self.gf.dual_basis()  # warm the cache for the dual-coordinate maps
         self._blocks = {}
+        self._class_tables = {}
 
     def _pick_eta2(self) -> int:
         # scan eta2 ascending until Q is irreducible; for eta1 = eta3 = 1 this
@@ -286,7 +287,7 @@ class DennistonGeometry:
             raise ValueError(f"intercept {d} is not in U_{c}")
         return wz - wz // self.k
 
-    # -- block enumeration (the preimage machinery) -------------------------------
+    # -- block enumeration: the scalar path, oracle of the class tables -----------
 
     def hcd_list(self, c: int, d: int):
         """The z in H with Tr(e_c z / (eta2^2 d^2)) = 1, a coset of a hyperplane
@@ -374,6 +375,85 @@ class DennistonGeometry:
         self._blocks[key] = pts
         return pts
 
+    # -- per-class block tables: the preimage machinery of g -----------------------
+
+    def class_table(self, c: int) -> np.ndarray:
+        """The (a, k) int32 point table of parallel class c: row j holds
+        phi_x_inv of the points of block (c, phi_uc(c, j)), in block_points
+        order.  Built on first use of the class, in one array pass."""
+        table = self._class_tables.get(c)
+        if table is None:
+            if not 0 <= c <= self.q:
+                raise ValueError(f"slope {c} out of range")
+            table = self._build_class_table(c)
+            self._class_tables[c] = table
+        return table
+
+    def _build_class_table(self, c: int) -> np.ndarray:
+        # the scalar phi_uc, hcd_list, rcd_slopes, block_points and phi_x_inv,
+        # element-wise over the a - 1 nonzero intercepts of the class
+        gf = self.gf
+        F = gf.arrays()
+        q, k, a, l = self.q, self.k, self.a, self.l
+        eta1, eta2, eta3 = self.eta1, self.eta2, self.eta3
+        e2sq = gf.mul(eta2, eta2)
+        ec = self.e_coeff(c)
+        table = np.empty((a, k), dtype=np.int32)
+        # intercept 0: the origin, then the points of slope c with h = 1..k-1
+        table[0, 0] = 0
+        table[0, 1:] = 1 + c * (k - 1) + np.arange(k - 1)
+
+        jp = np.arange(a - 1)
+        w = F.from_dual_coords(jp + 1 + jp // (k - 1))
+        d = F.inv(F.sqrt(F.mul(gf.div(e2sq, ec), w)))[:, None]
+        d2 = F.mul(d, d)
+
+        # H_{c,d}: the free bits of a counter around the pivot, pivot bit set
+        # where it makes Tr(e_c z / (eta2^2 d^2)) = 1
+        mask = F.dual_coords(F.div(ec, F.mul(e2sq, d2))) & (k - 1)
+        if not mask.all():
+            raise AssertionError(f"class {c} has an intercept outside U_{c}")
+        piv = np.zeros_like(mask)
+        for i in range(1, l):
+            piv = np.where(mask >> i, i, piv)
+        counter = np.arange(k // 2)[None, :]
+        z = (counter & ((1 << piv) - 1)) | ((counter >> piv) << (piv + 1))
+        parity = 0
+        for i in range(l):
+            parity ^= ((z & mask) >> i) & 1
+        z |= (1 - parity) << piv
+
+        # R_{c,d}: two slopes per z, from the roots w and w + 1 of w^2 + w = const
+        if c == q:
+            const = F.div(F.mul(eta3, F.mul(eta1, d2) ^ z), F.mul(e2sq, d2))
+            w0 = F.artin_schreier_root(const)[..., None] ^ np.array([0, 1])
+            slopes = F.div(F.mul(eta2, w0), eta3)
+        else:
+            denom = z ^ F.mul(eta3, d2)
+            linear = denom == 0       # degenerate quadratic: slope ct_linear and the vertical
+            denom = np.where(linear, 1, denom)
+            const = F.div(F.mul(F.mul(eta1, d2) ^ F.mul(gf.mul(c, c), z), denom),
+                          F.mul(e2sq, F.mul(d2, d2)))
+            const = np.where(linear, 0, const)
+            w0 = F.artin_schreier_root(const)[..., None] ^ np.array([0, 1])
+            slopes = F.div(F.mul(F.mul(eta2, d2)[..., None], w0), denom[..., None])
+            ct_linear = gf.div(eta1 ^ gf.mul(eta3, gf.mul(c, c)), eta2)
+            slopes = np.where(linear[..., None], np.array([ct_linear, q]), slopes)
+        slopes = slopes.reshape(a - 1, k)
+
+        # the points: x = d on the vertical line or for the vertical slope,
+        # else x = d / (c + ct); phi_x_inv reads h = e_ct x^2
+        vertical = slopes == q
+        ct = np.where(vertical, 0, slopes)
+        x = d if c == q else np.where(vertical, d, F.div(d, np.where(vertical, 1, c ^ ct)))
+        e_ct = np.where(vertical, eta3, eta1 ^ F.mul(eta2, ct) ^ F.mul(eta3, F.mul(ct, ct)))
+        h = F.mul(e_ct, F.mul(x, x))
+        table[1:] = slopes * (k - 1) + h
+        # the blocks of a parallel class partition the v points of the arc
+        if not (np.bincount(table.ravel(), minlength=self.v) == 1).all():
+            raise AssertionError(f"the blocks of class {c} do not partition the arc")
+        return table
+
 
 def denniston_point_set(geom: DennistonGeometry):
     return [geom.phi_x(m) for m in range(geom.v)]
@@ -407,8 +487,7 @@ def build_m2(t: int, l: int) -> Mosaic:
 
     def g(s, alpha, kappa):
         i, beta = divmod(s, a)
-        d = geom.phi_uc(i, (alpha - beta) % a)
-        return geom.phi_x_inv(geom.block_points(i, d)[kappa])
+        return int(geom.class_table(i)[(alpha - beta) % a, kappa])
 
     mosaic = Mosaic(geom.v, geom.b, a, f, g, k=geom.k,
                     member_kind="bibd",

@@ -8,12 +8,19 @@ so addition is XOR and the basis vector theta^i is ``1 << i``.
 Besides the four arithmetic operations, the module provides the
 characteristic-2 machinery needed by the Denniston constructions:
 absolute trace, dual basis, square roots, Artin-Schreier solving and
-quadratic root finding.
+quadratic root finding.  These primitives are table lookups, derived once
+per field: the trace is F_2-linear (Lidl & Niederreiter, *Finite Fields*,
+Thm 2.23), so Tr(x) is the parity of ``x & tmask``; dual coordinates and
+Artin-Schreier roots are GF(2)-linear maps applied as an XOR of n
+precomputed columns; a square root halves the discrete log.
+:class:`FieldArrays` applies the same operations element-wise to int arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 MAX_FIELD_ORDER = 1 << 20
 
@@ -116,6 +123,20 @@ def _gf2_inverse(rows: list, n: int) -> list:
     return [aug[i] >> n for i in range(n)]
 
 
+def _transpose(rows: list, n: int) -> list:
+    """Rows of the transpose of an n x n GF(2) matrix given as row bitmasks."""
+    return [sum(((r >> i) & 1) << j for j, r in enumerate(rows)) for i in range(n)]
+
+
+def _apply_cols(cols, x):
+    """The GF(2)-linear map with column j equal to ``cols[j]``, applied to x
+    (an int, or an int array element-wise)."""
+    out = 0
+    for j, col in enumerate(cols):
+        out ^= ((x >> j) & 1) * col
+    return out
+
+
 @dataclass(frozen=True)
 class DualBasisData:
     """Dual basis zeta_0..zeta_{n-1} with Tr(zeta_i * theta^j) = delta_ij.
@@ -160,7 +181,16 @@ class GF:
         self._mod_bits = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         self._exp = None
         self._log = None
+        self._arrays = None
         self._dual = None
+        # Tr(theta^i) is the trace of multiplication by theta^i as an
+        # F_p-linear map; Tr is F_p-linear, so these n values determine it
+        basis = [p ** i for i in range(n)]
+        self._trace_basis = tuple(
+            sum(_digits(self._mul_raw(basis[i], basis[j]), p, n)[j] for j in range(n)) % p
+            for i in range(n))
+        if p == 2:
+            self._init_char2()
 
     def __repr__(self):
         if self.n == 1:
@@ -337,44 +367,63 @@ class GF:
                 e >>= 1
             return r
 
-        for g in range(2, self.order):
+        for g in range(1, self.order):
             if all(pow_raw(g, q1 // f) != 1 for f in factors):
                 return g
         raise AssertionError("multiplicative group must be cyclic")
 
+    def arrays(self) -> "FieldArrays":
+        """Element-wise arithmetic on int arrays (characteristic 2), over numpy
+        copies of the log tables; builds the tables at any order, while the
+        scalar methods build them only up to _LOG_TABLE_MAX."""
+        if self._arrays is None:
+            self._arrays = FieldArrays(self)
+        return self._arrays
+
     # -- characteristic-2 machinery ------------------------------------------
+
+    def _init_char2(self):
+        n = self.n
+        self._tmask = sum(t << i for i, t in enumerate(self._trace_basis))
+        # gram[i] bit j = Tr(theta^i theta^j); the matrix is symmetric, so row
+        # j is also the dual-coordinate vector of theta^j
+        self._gram = tuple(
+            sum(self.trace(self._mul_raw(1 << i, 1 << j)) << j for j in range(n))
+            for i in range(n))
+        # w -> w^2 + w + w_0 u with Tr(u) = 1 is invertible; when Tr(a) = 0 its
+        # inverse image w of a has w_0 = 0 and solves w^2 + w = a
+        u = 1 << self._trace_basis.index(1)
+        cols = [self._mul_raw(1 << j, 1 << j) ^ (1 << j) for j in range(n)]
+        cols[0] ^= u
+        self._as_cols = tuple(_transpose(_gf2_inverse(_transpose(cols, n), n), n))
 
     def trace(self, x: int) -> int:
         """Absolute trace x + x^p + ... + x^(p^(n-1)), as an int in [0, p)."""
-        acc, y = x, x
-        for _ in range(self.n - 1):
-            y = self.pow(y, self.p)
-            acc = self.add(acc, y)
-        assert acc < self.p, "trace must lie in the prime subfield"
-        return acc
+        if self.p == 2:
+            return (x & self._tmask).bit_count() & 1
+        return sum(c * t for c, t in zip(_digits(x, self.p, self.n), self._trace_basis)) % self.p
 
     def sqrt(self, x: int) -> int:
-        """The unique square root in characteristic 2, computed as x^(2^(n-1))."""
+        """The unique square root in characteristic 2: x^(2^(n-1)), read off the
+        log tables as half the discrete log (the group order 2^n - 1 is odd)."""
         self._require_char2()
-        for _ in range(self.n - 1):
-            x = self.mul(x, x)
-        return x
+        if x == 0 or self.n == 1:
+            return x
+        if self._exp is None and self.order <= _LOG_TABLE_MAX:
+            self._build_log_tables()
+        if self._exp is None:
+            return self.pow(x, self.order >> 1)
+        e = self._log[x]
+        return self._exp[(e + (e & 1) * (self.order - 1)) >> 1]
 
     def dual_basis(self) -> DualBasisData:
         """Basis zeta_0..zeta_{n-1} dual to the polynomial basis under the trace form."""
         self._require_char2()
         if self._dual is None:
             n = self.n
-            gram = []
-            for i in range(n):
-                row = 0
-                for j in range(n):
-                    if self.trace(self.mul(1 << i, 1 << j)):
-                        row |= 1 << j
-                gram.append(row)
             # row i of gram^-1 gives zeta_i in the polynomial basis; for p = 2
             # the row bitmask is already the packed element
-            t_rows = _gf2_inverse(gram, n)
+            t_rows = _gf2_inverse(list(self._gram), n)
             dual = tuple(t_rows)
             T = tuple(tuple((r >> j) & 1 for j in range(n)) for r in t_rows)
             self._dual = DualBasisData(dual=dual, T=T)
@@ -383,54 +432,19 @@ class GF:
     def dual_coords(self, x: int) -> int:
         """Coordinates of x in the dual basis, packed as bits: bit i = Tr(x*theta^i)."""
         self._require_char2()
-        out = 0
-        for i in range(self.n):
-            if self.trace(self.mul(x, 1 << i)):
-                out |= 1 << i
-        return out
+        return _apply_cols(self._gram, x)
 
     def from_dual_coords(self, bits: int) -> int:
-        self._require_char2()
-        dual = self.dual_basis().dual
-        x = 0
-        for i in range(self.n):
-            if (bits >> i) & 1:
-                x ^= dual[i]
-        return x
+        return _apply_cols(self.dual_basis().dual, bits)
 
     def artin_schreier_roots(self, a: int) -> tuple:
         """All w with w^2 + w = a, sorted; empty unless Tr(a) = 0, else exactly {w, w+1}."""
         self._require_char2()
-        n = self.n
-        cols = [self.mul(1 << j, 1 << j) ^ (1 << j) for j in range(n)]
-        rows = []
-        for i in range(n):
-            r = 0
-            for j in range(n):
-                if (cols[j] >> i) & 1:
-                    r |= 1 << j
-            if (a >> i) & 1:
-                r |= 1 << n
-            rows.append(r)
-        piv_cols, rank = [], 0
-        for col in range(n):
-            piv = next((i for i in range(rank, n) if (rows[i] >> col) & 1), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            for i in range(n):
-                if i != rank and (rows[i] >> col) & 1:
-                    rows[i] ^= rows[rank]
-            piv_cols.append(col)
-            rank += 1
-        if any(rows[i] >> n for i in range(rank, n)):
+        if self.trace(a):
             return ()
-        w = 0
-        for idx, col in enumerate(piv_cols):
-            if (rows[idx] >> n) & 1:
-                w |= 1 << col
         # the kernel of w -> w^2 + w is the prime subfield {0, 1}
-        return (min(w, w ^ 1), max(w, w ^ 1))
+        w = _apply_cols(self._as_cols, a)
+        return (w, w ^ 1)
 
     def quadratic_roots(self, alpha: int, beta: int, gamma: int) -> tuple:
         """All c with alpha*c^2 + beta*c + gamma = 0 in characteristic 2.
@@ -451,6 +465,53 @@ class GF:
     def _require_char2(self):
         if self.p != 2:
             raise ValueError("operation implemented for characteristic 2 only")
+
+
+class FieldArrays:
+    """Element-wise GF(2^n) arithmetic on int arrays, obtained from
+    :meth:`GF.arrays`; each method mirrors the scalar one of ``GF``."""
+
+    def __init__(self, gf: GF):
+        gf._require_char2()
+        if gf._exp is None:
+            gf._build_log_tables()
+        self.gf = gf
+        self.exp = np.asarray(gf._exp, dtype=np.int64)
+        self.log = np.asarray(gf._log, dtype=np.int64)
+        self.q1 = gf.order - 1
+
+    def mul(self, a, b):
+        return np.where((a == 0) | (b == 0), 0, self.exp[self.log[a] + self.log[b]])
+
+    def inv(self, a):
+        if np.any(a == 0):
+            raise ZeroDivisionError(f"0 has no inverse in {self.gf}")
+        return self.exp[(self.q1 - self.log[a]) % self.q1]
+
+    def div(self, a, b):
+        if np.any(b == 0):
+            raise ZeroDivisionError(f"division by 0 in {self.gf}")
+        return np.where(a == 0, 0, self.exp[(self.log[a] - self.log[b]) % self.q1])
+
+    def sqrt(self, a):
+        e = self.log[a]
+        return np.where(a == 0, 0, self.exp[(e + (e & 1) * self.q1) >> 1])
+
+    def trace(self, a):
+        return _apply_cols(self.gf._trace_basis, a)
+
+    def dual_coords(self, a):
+        return _apply_cols(self.gf._gram, a)
+
+    def from_dual_coords(self, bits):
+        return _apply_cols(self.gf.dual_basis().dual, bits)
+
+    def artin_schreier_root(self, a):
+        """The smaller root w of w^2 + w = a (the other is w + 1), element-wise;
+        every element of a must have trace 0."""
+        if np.any(self.trace(a)):
+            raise ValueError("w^2 + w = a has no root where Tr(a) = 1")
+        return _apply_cols(self.gf._as_cols, a)
 
 
 def make_field(p: int, n: int, max_order: int = MAX_FIELD_ORDER) -> GF:

@@ -154,9 +154,13 @@ class Mosaic:
     # -- evaluation -----------------------------------------------------------
 
     def f(self, x, s):
+        if not (0 <= x < self.v and 0 <= s < self.b):
+            _out_of_range(("x", x, self.v), ("s", s, self.b))
         return self._f(x, s)
 
     def g(self, s, alpha, kappa):
+        if not (0 <= s < self.b and 0 <= alpha < self.a and 0 <= kappa < self.k):
+            _out_of_range(("s", s, self.b), ("alpha", alpha, self.a), ("kappa", kappa, self.k))
         if self._g is not None:
             return self._g(s, alpha, kappa)
         return int(np.flatnonzero(self.color_matrix()[:, s] == alpha)[kappa])
@@ -183,6 +187,12 @@ class Mosaic:
 
     def members(self):
         return [self.member(alpha) for alpha in range(self.a)]
+
+
+def _out_of_range(*checks):
+    for name, value, bound in checks:
+        if not 0 <= value < bound:
+            raise ValueError(f"{name} = {value} is out of range [0, {bound})")
 
 
 def from_functional_form(f, g, v, b, a, k=None, validate=True, **kwargs) -> Mosaic:

@@ -240,8 +240,9 @@ class WiretapJoint:
         if p_a is None:
             p_a = np.full(mosaic.a, 1.0 / mosaic.a)
         p_a = np.asarray(p_a, dtype=float).ravel()
-        if p_a.shape != (mosaic.a,) or (p_a < 0).any() or abs(p_a.sum() - 1) > 1e-9:
-            raise ValueError("P_A must be a distribution on the color set")
+        if (p_a.shape != (mosaic.a,) or not np.isfinite(p_a).all() or (p_a < 0).any()
+                or abs(p_a.sum() - 1) > 1e-9):
+            raise ValueError("P_A must be a finite distribution on the color set")
         self.cond_zs = _scatter_by_color(mosaic, channel.W) / (mosaic.b * mosaic.k)
         self.p_z = channel.output_distribution()
         self.p_a = p_a

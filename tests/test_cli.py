@@ -136,6 +136,10 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                  ("simulate", *m1, "--channel", "identity", "--pa", "point:2")):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "out of range" in json.loads(err)["error"]
+    for argv in (("bounds", *m1, "--channel", "identity", "--pa", "nan,nan"),
+                 ("bounds", *m1, "--channel", "identity", "--pa", "point:abc")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "--pa" in json.loads(err)["error"]
     missing = str(tmp_path / "absent.csv")
     for argv in (("bounds", *m1, "--channel", missing),
                  ("bounds", *m1, "--scenario", "pa", "--source", missing)):

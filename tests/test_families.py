@@ -197,6 +197,60 @@ def test_m2_block_point_sets_lie_on_arc_and_line():
                     assert py == gf.add(gf.mul(c, px), d)
 
 
+def _scalar_block_row(geom, c, j):
+    return [geom.phi_x_inv(p) for p in geom.block_points(c, geom.phi_uc(c, j))]
+
+
+# the acceptance grid's M2 and M3 rungs, (t, l, u) with u = None for M2
+BLOCK_TABLE_RUNGS = ([(t, l, None) for t in (2, 3) for l in range(1, t + 1)]
+                     + [(t, l, u) for t in (2, 3) for l in range(1, t + 1) for u in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("t,l,u", BLOCK_TABLE_RUNGS)
+def test_class_tables_match_scalar_block_enumeration(t, l, u):
+    M = build_m2(t, l) if u is None else build_m3(t, l, u)
+    geom = (M if u is None else M.base).geometry
+    for c in range(geom.q + 1):
+        table = geom.class_table(c)
+        assert table.dtype == np.int32 and table.shape == (geom.a, geom.k)
+        for j in range(geom.a):
+            assert table[j].tolist() == _scalar_block_row(geom, c, j)
+    # g reads the tables; the scalar path composes phi_uc, block_points, phi_x_inv
+    uu = 1 if u is None else u
+    for s in range(M.b):
+        i, beta = divmod(s, geom.a)
+        for alpha in range(M.a):
+            row = _scalar_block_row(geom, i, (alpha - beta) % geom.a)
+            for kappa in range(M.k):
+                base, rep = divmod(kappa, uu)
+                assert M.g(s, alpha, kappa) == row[base] * uu + rep
+    assert verify_functional_form(M)
+
+
+def test_class_tables_match_scalar_block_enumeration_t7():
+    M = build_m2(7, 3)
+    geom = M.geometry
+    for c in range(geom.q + 1):
+        table = geom.class_table(c)
+        for j in range(geom.a):
+            assert table[j].tolist() == _scalar_block_row(geom, c, j)
+    rng = np.random.default_rng(73)
+    for s, alpha, kappa in zip(rng.integers(0, M.b, 2000).tolist(),
+                               rng.integers(0, M.a, 2000).tolist(),
+                               rng.integers(0, M.k, 2000).tolist()):
+        assert M.f(M.g(s, alpha, kappa), s) == alpha
+
+
+def test_class_table_fields_above_log_table_threshold():
+    # t = 17 builds the log tables its class tables need on first use
+    geom = DennistonGeometry(17, 2)
+    table = geom.class_table(5)
+    for j in (0, 1, 1234, geom.a - 1):
+        assert table[j].tolist() == _scalar_block_row(geom, 5, j)
+    with pytest.raises(ValueError):
+        geom.class_table(geom.q + 1)
+
+
 # -- M3 ------------------------------------------------------------------------
 
 def test_m3_parameters_and_classification():

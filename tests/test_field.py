@@ -4,6 +4,100 @@ import pytest
 from designmosaics.field import GF, make_field, is_prime, prime_power
 
 
+# -- loop definitions of the characteristic-2 primitives, kept as oracles -------
+
+def trace_oracle(gf, x):
+    """x + x^2 + ... + x^(2^(n-1)) by repeated squaring."""
+    acc, y = x, x
+    for _ in range(gf.n - 1):
+        y = gf.mul(y, y)
+        acc ^= y
+    assert acc < 2
+    return acc
+
+
+def sqrt_oracle(gf, x):
+    """x^(2^(n-1)) by n - 1 squarings."""
+    for _ in range(gf.n - 1):
+        x = gf.mul(x, x)
+    return x
+
+
+def dual_coords_oracle(gf, x):
+    """bit i = Tr(x theta^i)."""
+    return sum(trace_oracle(gf, gf.mul(x, 1 << i)) << i for i in range(gf.n))
+
+
+def artin_schreier_oracle(gf, a):
+    """Gaussian elimination of the n x n GF(2) system w^2 + w = a."""
+    n = gf.n
+    cols = [gf.mul(1 << j, 1 << j) ^ (1 << j) for j in range(n)]
+    rows = []
+    for i in range(n):
+        r = sum(((cols[j] >> i) & 1) << j for j in range(n))
+        rows.append(r | (((a >> i) & 1) << n))
+    piv_cols, rank = [], 0
+    for col in range(n):
+        piv = next((i for i in range(rank, n) if (rows[i] >> col) & 1), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(n):
+            if i != rank and (rows[i] >> col) & 1:
+                rows[i] ^= rows[rank]
+        piv_cols.append(col)
+        rank += 1
+    if any(rows[i] >> n for i in range(rank, n)):
+        return ()
+    w = sum(((rows[idx] >> n) & 1) << col for idx, col in enumerate(piv_cols))
+    return (min(w, w ^ 1), max(w, w ^ 1))
+
+
+def _assert_primitives_match_oracles(gf, xs):
+    for x in xs:
+        assert gf.trace(x) == trace_oracle(gf, x), x
+        assert gf.sqrt(x) == sqrt_oracle(gf, x), x
+        assert gf.dual_coords(x) == dual_coords_oracle(gf, x), x
+        assert gf.artin_schreier_roots(x) == artin_schreier_oracle(gf, x), x
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_char2_primitives_match_loop_oracles(n):
+    gf = make_field(2, n)
+    _assert_primitives_match_oracles(gf, gf.elements())
+
+
+def test_char2_primitives_above_log_table_threshold():
+    # GF(2^17) has no scalar log tables; sqrt falls back to x^(2^(n-1))
+    gf = make_field(2, 17)
+    rng = np.random.default_rng(2017)
+    _assert_primitives_match_oracles(gf, rng.integers(0, gf.order, 200).tolist())
+    assert gf._exp is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 10])
+def test_field_arrays_match_scalar_methods(n):
+    gf = make_field(2, n)
+    F = gf.arrays()
+    xs = np.arange(gf.order)
+    ys = np.random.default_rng(n).permutation(gf.order)
+    nz = ys[ys != 0]
+    scalar = lambda fn, *args: [fn(*map(int, row)) for row in zip(*args)]
+    assert F.mul(xs, ys).tolist() == scalar(gf.mul, xs, ys)
+    assert F.inv(nz).tolist() == scalar(gf.inv, nz)
+    assert F.div(xs[:nz.size], nz).tolist() == scalar(gf.div, xs[:nz.size], nz)
+    assert F.sqrt(xs).tolist() == scalar(gf.sqrt, xs)
+    assert F.trace(xs).tolist() == scalar(gf.trace, xs)
+    assert F.dual_coords(xs).tolist() == scalar(gf.dual_coords, xs)
+    assert F.from_dual_coords(xs).tolist() == scalar(gf.from_dual_coords, xs)
+    even = xs[F.trace(xs) == 0]
+    assert F.artin_schreier_root(even).tolist() == [gf.artin_schreier_roots(int(a))[0] for a in even]
+    with pytest.raises(ValueError):
+        F.artin_schreier_root(xs)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(xs)
+
+
 def test_make_field_prime_field_modulus_is_x():
     gf = make_field(2, 1)
     assert gf.modulus == (0, 1)

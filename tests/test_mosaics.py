@@ -129,6 +129,24 @@ def test_functional_form_round_trip():
         assert a1 == a2
 
 
+@pytest.mark.parametrize("build", [lambda: build_m1(3, 4), lambda: build_m2(3, 2),
+                                   lambda: build_m3(3, 2, 2), lambda: build_m4(9, 8)],
+                         ids=["m1(3,4)", "m2(3,2)", "m3(3,2,2)", "m4(9,8)"])
+def test_f_and_g_reject_out_of_range_arguments(build):
+    M = build()
+    for args in [(-1, 0), (M.v, 0), (0, -1), (0, M.b)]:
+        name = "x" if args[1] == 0 else "s"
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            M.f(*args)
+    for args in [(-1, 0, 0), (M.b, 0, 0), (0, -1, 0), (0, M.a, 0), (0, 0, -1), (0, 0, M.k)]:
+        name = "s" if args[0] != 0 else "alpha" if args[1] != 0 else "kappa"
+        with pytest.raises(ValueError, match=f"^{name} = "):
+            M.g(*args)
+    # the corners of the ranges still evaluate
+    x = M.g(M.b - 1, M.a - 1, M.k - 1)
+    assert M.f(x, M.b - 1) == M.a - 1
+
+
 def test_from_functional_form_rejects_duplicate_preimage():
     M = build_m1(2, 2)
 

@@ -148,6 +148,9 @@ def test_joint_validation():
         JointXZ(np.array([[np.nan, 0.5], [0.25, 0.25]]))
     j = JointXZ(np.array([[0.25, 0.25], [0.25, 0.25]]))
     assert np.allclose(j.P_Z, [0.5, 0.5])
+    M = build_m1(2, 2)
+    with pytest.raises(ValueError, match="finite"):
+        WiretapJoint(M, identity_channel(M.v), [np.nan, np.nan])
 
 
 # -- joint builders -----------------------------------------------------------------
