@@ -335,10 +335,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_numeric_flags(args):
+    """Reject numeric flags outside their domain; the parser checks only types."""
+    if not (np.isfinite(args.tol) and args.tol >= 0):
+        raise CliError(f"--tol must be finite and nonnegative, got {args.tol}")
+    if getattr(args, "trials", 1) < 1:
+        raise CliError(f"--trials must be at least 1, got {args.trials}")
+    if not 0 < getattr(args, "significance", 0.5) < 1:
+        raise CliError(f"--significance must lie in (0, 1), got {args.significance}")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_numeric_flags(args)
         return args.fn(args)
     except (CliError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -188,14 +188,11 @@ class DennistonGeometry:
         self._class_tables = {}
 
     def _pick_eta2(self) -> int:
-        # scan eta2 ascending until Q is irreducible; for eta1 = eta3 = 1 this
-        # is Tr(1/eta2^2) = 1, confirmed by the absence of roots of T^2+eta2*T+1
+        # the smallest eta2 with Q irreducible: for eta1 = eta3 = 1, T^2 + eta2 T + 1
+        # has no root in F_q iff Tr(1/eta2^2) = 1 (substitute T = eta2 U)
         gf = self.gf
         for e2 in range(1, self.q):
             if gf.trace(gf.inv(gf.mul(e2, e2))) == 1:
-                for x in gf.elements():
-                    if gf.add(gf.add(gf.mul(x, x), gf.mul(e2, x)), 1) == 0:
-                        raise AssertionError("trace condition violated by a root")
                 return e2
         raise AssertionError("no irreducible quadratic form found")
 

@@ -101,15 +101,20 @@ def check_regular_gdd_uhf(params: GDDParams, mosaic: Optional[Mosaic] = None) ->
     return UHFVerdict(universal=universal, kr=kr, lambda1_v=l1v, note=note)
 
 
+def _pair_counts(F, x: int, a: int) -> np.ndarray:
+    """Row i holds |{s : F[x, s] = alpha, F[x + 1 + i, s] = alpha'}| at column
+    alpha' a + alpha: one bincount over the row-offset pair codes
+    i a^2 + F[x', s] a + F[x, s], streamed per x to keep O(v b) memory."""
+    n = F.shape[0] - x - 1
+    codes = (np.arange(n)[:, None] * (a * a) + F[x + 1:] * a + F[x]).ravel()
+    return np.bincount(codes, minlength=n * a * a).reshape(n, a * a)
+
+
 def epsilon_asu(M: Mosaic) -> Fraction:
     """max over pairs x != x' and colors (alpha, alpha') of
     |{s : f(x,s)=alpha, f(x',s)=alpha'}| / b."""
-    F = M.color_matrix()
-    worst = 0
-    for x in range(M.v - 1):
-        joint = F[x + 1:].astype(np.int64) * M.a + F[x]
-        for row in joint:
-            worst = max(worst, int(np.bincount(row, minlength=M.a * M.a).max()))
+    F = M.color_matrix().astype(np.int64)
+    worst = max((int(_pair_counts(F, x, M.a).max()) for x in range(M.v - 1)), default=0)
     return Fraction(worst, M.b)
 
 
@@ -135,8 +140,9 @@ def oa_check(array, a: Optional[int] = None) -> OAReport:
     v, b = F.shape
     if a is None:
         a = int(F.max()) + 1
-    col_counts = np.stack([np.bincount(F[:, s], minlength=a) for s in range(b)])
-    counts_flat = col_counts.ravel()
+    if F.min() < 0 or F.max() >= a:
+        raise ValueError(f"array entries must lie in [0, {a})")
+    counts_flat = np.bincount((np.arange(b) * a + F).ravel(), minlength=b * a)
     const = bool((counts_flat == counts_flat[0]).all())
     col_count = int(counts_flat[0]) if const else None
 
@@ -144,15 +150,14 @@ def oa_check(array, a: Optional[int] = None) -> OAReport:
         return OAReport(False, None, const, col_count, None,
                         reason=f"b = {b} is not divisible by a^2 = {a * a}")
     lam = b // (a * a)
-    worst = 0
     for x in range(v - 1):
-        joint = F[x + 1:] * a + F[x]
-        for row in joint:
-            pair_counts = np.bincount(row, minlength=a * a)
-            worst = max(worst, int(pair_counts.max()))
-            if not (pair_counts == lam).all():
-                return OAReport(False, None, const, col_count, Fraction(worst, b),
-                                reason="pair counts are not constant")
+        counts = _pair_counts(F, x, a)
+        bad = np.flatnonzero((counts != lam).any(axis=1))
+        if bad.size:
+            # every row sums to b = lam a^2, so the first non-constant row has
+            # a count above lam, the largest of all rows up to it
+            return OAReport(False, None, const, col_count, Fraction(int(counts[bad[0]].max()), b),
+                            reason="pair counts are not constant")
     return OAReport(True, lam, const, col_count, Fraction(lam * a, b))
 
 

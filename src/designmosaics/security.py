@@ -2,9 +2,15 @@
 
 Covers the distance/divergence toolbox, the wiretap and privacy-amplification
 joint distributions, the four semantic-security bounds (mutual-information and
-total-variation flavors, BIBD and GDD cases), the per-design exact identities
-behind them, the spectral generalization, and the partition sandwich
-comparisons.  All logarithms and exponentials are base 2.
+total-variation flavors), the per-design exact identities behind them, the
+spectral generalization, and the partition sandwich comparisons.  All
+logarithms and exponentials are base 2.
+
+The bounds and identities read one coefficient view for both member kinds: a
+BIBD is the GDD case lambda1 = lambda2 = lambda, u = 1, whose class term
+vanishes.  A conditional divergence is the divergence of a joint law from a
+product, D(W || Q | P) = D(P W || P x Q), so the exact metrics are per-color
+divergences of P_{ZS|A=alpha} from the products P_ZS and P_Z x U_S.
 """
 
 from __future__ import annotations
@@ -71,38 +77,25 @@ def d2(P, Q) -> float:
     return INF if val == INF else float(np.log2(val))
 
 
-def kl_cond(W, Q, P) -> float:
-    """D(W || Q | P) = sum_x P(x) D(W(.|x) || Q)."""
+def _joint_and_product(W, Q, P):
+    """The joint P(x) W(z|x) and the product P(x) Q(z), as (x, z) arrays."""
     W = np.asarray(W, dtype=float)
     P = np.asarray(P, dtype=float).ravel()
-    total = 0.0
-    for x in range(W.shape[0]):
-        if P[x] > 0:
-            term = kl(W[x], Q)
-            if term == INF:
-                return INF
-            total += P[x] * term
-    return total
+    return P[:, None] * W, np.outer(P, np.asarray(Q, dtype=float).ravel())
+
+
+def kl_cond(W, Q, P) -> float:
+    """D(W || Q | P) = sum_x P(x) D(W(.|x) || Q) = D(P W || P x Q)."""
+    return kl(*_joint_and_product(W, Q, P))
 
 
 def exp_d2_cond(W, Q, P) -> float:
-    """2^D2(W || Q | P) = sum_x P(x) 2^(D2(W(.|x) || Q))."""
-    W = np.asarray(W, dtype=float)
-    Q = np.asarray(Q, dtype=float).ravel()
-    P = np.asarray(P, dtype=float).ravel()
-    total = 0.0
-    for x in range(W.shape[0]):
-        if P[x] > 0:
-            term = exp_d2(W[x], Q)
-            if term == INF:
-                return INF
-            total += P[x] * term
-    return total
+    """2^D2(W || Q | P) = sum_x P(x) 2^(D2(W(.|x) || Q)) = 2^D2(P W || P x Q)."""
+    return exp_d2(*_joint_and_product(W, Q, P))
 
 
 def d2_cond(W, Q, P) -> float:
-    val = exp_d2_cond(W, Q, P)
-    return INF if val == INF else float(np.log2(val))
+    return d2(*_joint_and_product(W, Q, P))
 
 
 def renyi2_entropy(P) -> float:
@@ -112,18 +105,9 @@ def renyi2_entropy(P) -> float:
 
 
 def mutual_information(P_XY) -> float:
-    """I(X ^ Y) = D(P_{Y|X} || P_Y | P_X) from a joint matrix."""
+    """I(X ^ Y) = D(P_XY || P_X x P_Y) from a joint matrix."""
     P = np.asarray(P_XY, dtype=float)
-    P_X = P.sum(axis=1)
-    P_Y = P.sum(axis=0)
-    total = 0.0
-    for x in range(P.shape[0]):
-        if P_X[x] > 0:
-            term = kl(P[x] / P_X[x], P_Y)
-            if term == INF:
-                return INF
-            total += P_X[x] * term
-    return total
+    return kl(P, np.outer(P.sum(axis=1), P.sum(axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,32 +293,38 @@ def key_marginal_exact(mosaic: Mosaic, P_XZ) -> list:
 # exact metrics
 # ---------------------------------------------------------------------------
 
+def _color_divergences(cond, p_a, p_z) -> tuple:
+    """Divergences of each P_{ZS|A=alpha} = cond[alpha] from two products.
+
+    Against the mixture P_ZS = sum_alpha P_A(alpha) cond[alpha] it returns
+    I(A ^ Z,S) = D(P_ZSA || P_A x P_ZS) and the total variation of P_ZSA from
+    P_A x P_ZS, both as P_A-weighted sums over the colors.  Against
+    P_Z x U_S it returns the maxima over the colors of D, D2 and the total
+    variation.  A uniform seed makes the conditional divergences given S
+    equal to these: D(P_{Z|S,A=alpha} || P_Z | U_S) = D(cond[alpha] || P_Z x U_S).
+    """
+    _, nz, b = cond.shape
+    p_zs = np.zeros((nz, b))
+    for w, c in zip(p_a, cond):
+        p_zs += w * c
+    ref = (p_z / b)[:, None].repeat(b, axis=1)
+    mi = tv_mix = 0.0
+    max_kl = max_d2 = max_tv = -INF
+    for w, c in zip(p_a, cond):
+        if w > 0:
+            mi += w * kl(c, p_zs)
+            tv_mix += w * tv(c, p_zs)
+        max_kl = max(max_kl, kl(c, ref))
+        max_d2 = max(max_d2, d2(c, ref))
+        max_tv = max(max_tv, tv(c, ref))
+    return mi, tv_mix, max_kl, max_d2, max_tv
+
+
 def exact_wiretap_metrics(J: WiretapJoint) -> dict:
     """I(A ^ Z,S), the per-color conditional divergences given S, and the
     total-variation metric with its doubling upper bound."""
-    cond = J.cond_zs
-    a, nz, b = cond.shape
-    p_a = J.p_a
-    p_zsa = cond * p_a[:, None, None]
-    p_zs = p_zsa.sum(axis=0)
-
-    mi = 0.0
-    for al in range(a):
-        if p_a[al] > 0:
-            mi += p_a[al] * kl(cond[al], p_zs)
-
-    unif_b = np.full(b, 1.0 / b)
-    max_kl = -INF
-    max_d2 = -INF
-    for al in range(a):
-        rows = (b * cond[al]).T          # (b, nz): P_{Z|S=s,A=alpha}
-        max_kl = max(max_kl, kl_cond(rows, J.p_z, unif_b))
-        max_d2 = max(max_d2, d2_cond(rows, J.p_z, unif_b))
-
-    ref = J.p_z[:, None] / b
-    tv_metric = float(np.abs(p_zsa - p_zs[None, :, :] * p_a[:, None, None]).sum())
-    tv_upper = 2.0 * max(float(np.abs(cond[al] - ref).sum()) for al in range(a))
-
+    mi, tv_metric, max_kl, max_d2, max_tv = _color_divergences(J.cond_zs, J.p_a, J.p_z)
+    tv_upper = 2.0 * max_tv
     return {
         "mutual_information": mi,
         "max_kl_cond": max_kl,
@@ -350,21 +340,10 @@ def exact_pa_metrics(J: PAJoint) -> dict:
     """max-over-key divergences from P_Z P_S, the strong-secrecy mutual
     information, and the key-uniformity deviation."""
     cond = J.cond_zs
-    a, nz, b = cond.shape
-    ref = np.broadcast_to(J.p_z[:, None] / b, (nz, b))
-
-    max_kl = max(kl(cond[al], ref) for al in range(a))
-    max_tv = max(tv(cond[al], ref) for al in range(a))
-
-    p_zs = cond.mean(axis=0)
-    mi = sum(kl(cond[al], p_zs) for al in range(a)) / a
-
-    unif_b = np.full(b, 1.0 / b)
-    max_d2_s = -INF
-    for al in range(a):
-        for z in range(nz):
-            max_d2_s = max(max_d2_s, d2(J.cond_s_given_za[al, z], unif_b))
-
+    a, _, b = cond.shape
+    mi, _, max_kl, _, max_tv = _color_divergences(cond, J.p_a, J.p_z)
+    # D2(P_{S|Z=z,A=alpha} || U_S) = log2(b sum_s P(s|z,alpha)^2), maximized over z per color
+    max_d2_s = float(np.log2(b * max(np.square(c).sum(axis=1).max() for c in J.cond_s_given_za)))
     key_dev = float(np.abs(cond.sum(axis=(1, 2)) / a - 1.0 / a).max())
 
     return {
@@ -388,28 +367,38 @@ class BoundReport:
     specialization: Optional[dict] = None
 
 
-def _exp_d2_w_uniform(W) -> float:
-    """2^D2(W || P_X W | P_X) for uniform P_X, in linear scale."""
+def _exp_d2_uniform(W, partition=None) -> float:
+    """2^D2(W || P_X W | P_X) for uniform P_X; given a partition, the
+    class-averaged rows R_Pi W against the full mixture P_X W under uniform
+    P_Pi, 2^D2(R_Pi W || P_X W | P_Pi)."""
     W = np.asarray(W, dtype=float)
-    pz = W.mean(axis=0)
-    m = pz > 0
-    return float((np.square(W[:, m]) / pz[m]).sum() / W.shape[0])
+    rows = W if partition is None else np.stack([W[list(cls)].mean(axis=0) for cls in partition])
+    return exp_d2_cond(rows, W.mean(axis=0), np.full(rows.shape[0], 1.0 / rows.shape[0]))
 
 
-def _exp_d2_pi_uniform(W, partition) -> float:
-    """2^D2(R_Pi W || P_X W | P_Pi): class-averaged rows against the full mixture."""
-    W = np.asarray(W, dtype=float)
-    pz = W.mean(axis=0)
-    rows = np.stack([W[list(cls)].mean(axis=0) for cls in partition])
-    m = pz > 0
-    return float((np.square(rows[:, m]) / pz[m]).sum() / rows.shape[0])
+def _coefficients(params, partition=None) -> tuple:
+    """The coefficient view (const, c_pi, c_w, partition) of the bounds and
+    identities, with c_w = (r - l1)/(kr), c_pi = (l1 - l2) u/(kr) and
+    const = 1 - c_w - c_pi.
 
-
-def _gdd_coefficients(params: GDDParams) -> tuple:
+    A BIBD is the case l1 = l2 = lambda, u = 1: its class term vanishes for
+    any partition, so the returned partition is None.  A GDD needs its point
+    class partition, from the argument or else from its parameters.
+    """
+    if isinstance(params, BIBDParams):
+        l1 = l2 = params.lam
+        u, partition = 1, None
+    elif isinstance(params, GDDParams):
+        l1, l2, u = params.lambda1, params.lambda2, params.u
+        partition = partition if partition is not None else params.partition
+        if partition is None:
+            raise ValueError("GDD bound needs the point class partition")
+    else:
+        raise ValueError("bounds need classified members (BIBD or GDD parameters)")
     kr = params.k * params.r
-    c_w = (params.r - params.lambda1) / kr
-    c_pi = (params.lambda1 - params.lambda2) * params.u / kr
-    return 1.0 - c_w - c_pi, c_pi, c_w
+    c_w = (params.r - l1) / kr
+    c_pi = (l1 - l2) * u / kr
+    return 1.0 - c_w - c_pi, c_pi, c_w, partition
 
 
 def _gdd_specialization(params: GDDParams, const, c_pi, c_w) -> dict:
@@ -432,89 +421,82 @@ def _gdd_specialization(params: GDDParams, const, c_pi, c_w) -> dict:
     return out
 
 
+def _wt_terms(params, channel: Channel, partition) -> tuple:
+    """(const, terms, specialization) of the wiretap bounds, where terms maps
+    each divergence term to (coefficient, 2^D2 under uniform input); the class
+    term exp_d2_pi and the specialization are for GDDs only."""
+    const, c_pi, c_w, partition = _coefficients(params, partition)
+    terms = {"exp_d2_w": (c_w, _exp_d2_uniform(channel.W))}
+    if partition is None:
+        return const, terms, None
+    terms = {"exp_d2_pi": (c_pi, _exp_d2_uniform(channel.W, partition)), **terms}
+    return const, terms, _gdd_specialization(params, const, c_pi, c_w)
+
+
 def bound_wt_bibd(params: BIBDParams, channel: Channel) -> BoundReport:
     """Mutual-information bound for mosaics of BIBDs:
-    max_{P_A} 2^I(A ^ Z,S) <= (1 - (r-l)/(kr)) + (r-l)/(kr) 2^D2(W || P_X W | P_X)."""
-    c = (params.r - params.lam) / (params.k * params.r)
-    ew = _exp_d2_w_uniform(channel.W)
-    return BoundReport(value=(1.0 - c) + c * ew,
-                       coefficients={"const": 1.0 - c, "exp_d2_w": c})
+    max_{P_A} 2^I(A ^ Z,S) <= (1 - (r-l)/(kr)) + (r-l)/(kr) 2^D2(W || P_X W | P_X),
+    the lambda1 = lambda2 case of bound_wt_gdd."""
+    return bound_wt_gdd(params, channel)
 
 
-def bound_wt_gdd(params: GDDParams, channel: Channel, partition=None) -> BoundReport:
+def bound_wt_gdd(params, channel: Channel, partition=None) -> BoundReport:
     """Mutual-information bound for mosaics of GDDs with a common point class
-    partition; the partition enters through the coarsened channel R_Pi W."""
-    partition = partition if partition is not None else params.partition
-    if partition is None:
-        raise ValueError("GDD bound needs the point class partition")
-    const, c_pi, c_w = _gdd_coefficients(params)
-    ew = _exp_d2_w_uniform(channel.W)
-    epi = _exp_d2_pi_uniform(channel.W, partition)
-    return BoundReport(value=const + c_pi * epi + c_w * ew,
-                       coefficients={"const": const, "exp_d2_pi": c_pi, "exp_d2_w": c_w},
-                       specialization=_gdd_specialization(params, const, c_pi, c_w))
+    partition, const + c_pi 2^D2(R_Pi W || P_X W | P_Pi) + c_w 2^D2(W || P_X W | P_X);
+    the partition enters through the coarsened channel R_Pi W."""
+    const, terms, spec = _wt_terms(params, channel, partition)
+    return BoundReport(value=sum((c * e for c, e in terms.values()), const),
+                       coefficients={"const": const, **{n: c for n, (c, _) in terms.items()}},
+                       specialization=spec)
 
 
 def bound_wt_tv_bibd(params: BIBDParams, channel: Channel) -> BoundReport:
-    """Total-variation bound 2 sqrt((r-l)/(kr)) sqrt(2^D2 - 1)."""
-    c = (params.r - params.lam) / (params.k * params.r)
-    ew = _exp_d2_w_uniform(channel.W)
-    return BoundReport(value=2.0 * math.sqrt(max(c * (ew - 1.0), 0.0)),
-                       coefficients={"inner": c})
+    """Total-variation bound 2 sqrt((r-l)/(kr)) sqrt(2^D2 - 1), the
+    lambda1 = lambda2 case of bound_wt_tv_gdd."""
+    return bound_wt_tv_gdd(params, channel)
 
 
-def bound_wt_tv_gdd(params: GDDParams, channel: Channel, partition=None) -> BoundReport:
-    partition = partition if partition is not None else params.partition
-    if partition is None:
-        raise ValueError("GDD bound needs the point class partition")
-    const, c_pi, c_w = _gdd_coefficients(params)
-    ew = _exp_d2_w_uniform(channel.W)
-    epi = _exp_d2_pi_uniform(channel.W, partition)
-    inner = c_w * ew + c_pi * epi - (c_w + c_pi)
+def bound_wt_tv_gdd(params, channel: Channel, partition=None) -> BoundReport:
+    """Total-variation bound 2 sqrt(c_pi (2^D2(R_Pi W..) - 1) + c_w (2^D2(W..) - 1))."""
+    _, terms, spec = _wt_terms(params, channel, partition)
+    inner = sum(c * (e - 1.0) for c, e in terms.values())
     return BoundReport(value=2.0 * math.sqrt(max(inner, 0.0)),
-                       coefficients={"const": -(c_w + c_pi), "exp_d2_pi": c_pi, "exp_d2_w": c_w},
-                       specialization=_gdd_specialization(params, const, c_pi, c_w))
+                       coefficients={"const": -sum(c for c, _ in terms.values()),
+                                     **{n: c for n, (c, _) in terms.items()}},
+                       specialization=spec)
 
 
 def _pa_terms(params, joint: JointXZ, partition):
     """Per-z value of the Renyi identity right-hand side, shared by the
-    privacy-amplification bounds (a = v/k)."""
-    if isinstance(params, BIBDParams):
-        a = params.v // params.k
-        coeff_h2 = a * (params.r - params.lam) / params.r
-        coeff_pi = 0.0
-        const = 1.0 - (params.r - params.lam) / (params.k * params.r)
-        vals = coeff_h2 * np.exp2(-joint.h2_given_z()) + const
-        return vals, {"coeff_h2": coeff_h2, "coeff_pi": coeff_pi, "const": const}, None
-    params_g: GDDParams = params
-    partition = partition if partition is not None else params_g.partition
+    privacy-amplification bounds and prop42_check:
+    v c_w 2^-H2(X|Z=z) + (v/u) c_pi 2^-H2(X_Pi|Z=z) + const, where the
+    partition has v/u classes; the class term and specialization for GDDs only."""
+    const, c_pi, c_w, partition = _coefficients(params, partition)
+    coeff_h2 = params.v * c_w
+    vals = coeff_h2 * np.exp2(-joint.h2_given_z())
     if partition is None:
-        raise ValueError("GDD bound needs the point class partition")
-    a = params_g.v // params_g.k
-    const_g, c_pi, c_w = _gdd_coefficients(params_g)
-    coeff_h2 = a * (params_g.r - params_g.lambda1) / params_g.r
-    coeff_pi = a * (params_g.lambda1 - params_g.lambda2) / params_g.r
-    vals = (coeff_h2 * np.exp2(-joint.h2_given_z())
-            + coeff_pi * np.exp2(-joint.h2_classes_given_z(partition))
-            + const_g)
-    spec = {"class": classify_gdd(params_g)}
+        return vals + const, {"coeff_h2": coeff_h2, "coeff_pi": 0.0, "const": const}, None
+    coeff_pi = len(partition) * c_pi
+    vals = vals + coeff_pi * np.exp2(-joint.h2_classes_given_z(partition)) + const
+    a = params.v // params.k
+    spec = {"class": classify_gdd(params)}
     if spec["class"] == "singular":
-        k_star = params_g.k // params_g.u
-        r_star, lam_star = params_g.r, params_g.lambda2
+        k_star = params.k // params.u
+        r_star, lam_star = params.r, params.lambda2
         spec["coefficients"] = (a * (r_star - lam_star) / r_star,
                                 -(r_star - lam_star) / (k_star * r_star))
         assert abs(coeff_pi - spec["coefficients"][0]) < 1e-9
-        assert abs((const_g - 1.0) - spec["coefficients"][1]) < 1e-9
+        assert abs((const - 1.0) - spec["coefficients"][1]) < 1e-9
     elif spec["class"] == "semi-regular":
-        spec["coefficients"] = (a * (params_g.r - params_g.lambda1) / params_g.r,
-                                -a * (params_g.r - params_g.lambda1) / (params_g.u * params_g.r),
+        spec["coefficients"] = (a * (params.r - params.lambda1) / params.r,
+                                -a * (params.r - params.lambda1) / (params.u * params.r),
                                 0.0)
         assert abs(coeff_h2 - spec["coefficients"][0]) < 1e-9
         assert abs(coeff_pi - spec["coefficients"][1]) < 1e-9
-        assert abs(const_g - 1.0) < 1e-9
-        if params_g.lambda1 == 0:
+        assert abs(const - 1.0) < 1e-9
+        if params.lambda1 == 0:
             spec["td_coefficients"] = (float(a), -1.0, 0.0)
-    return vals, {"coeff_h2": coeff_h2, "coeff_pi": coeff_pi, "const": const_g}, spec
+    return vals, {"coeff_h2": coeff_h2, "coeff_pi": coeff_pi, "const": const}, spec
 
 
 def bound_pa_kl(params, joint: JointXZ, partition=None) -> BoundReport:
@@ -543,39 +525,18 @@ class IdentityReport:
     per_z: Optional[tuple] = None
 
 
-def _as_gdd_like(params):
-    """Uniform (r, k, lambda1, lambda2, u, partition) view; a BIBD is the
-    lambda1 = lambda2 case whose class term vanishes for any partition."""
-    if isinstance(params, BIBDParams):
-        return params.r, params.k, params.lam, params.lam, 1, None
-    return (params.r, params.k, params.lambda1, params.lambda2, params.u,
-            params.partition)
-
-
 def wiretap_seed_divergence(D: IncidenceStructure, channel: Channel, k: int) -> float:
     """2^D2(P_{Z|S} || P_Z | P_S) for the single-design joint w(z|x)N(x,s)/(bk)."""
-    N = D.N.astype(float)
-    rows = (N.T @ channel.W) / k          # (b, nz): P_{Z|S=s}
-    pz = channel.output_distribution()
-    m = pz > 0
-    return float((np.square(rows[:, m]) / pz[m]).sum() / D.b)
+    rows = (D.N.T.astype(float) @ channel.W) / k          # (b, nz): P_{Z|S=s}
+    return exp_d2_cond(rows, channel.output_distribution(), np.full(D.b, 1.0 / D.b))
 
 
 def prop41_check(D: IncidenceStructure, params, channel: Channel, partition=None) -> IdentityReport:
     """The wiretap identity: 2^D2(P_{Z|S} || P_Z | P_S) equals
-    const + c_pi 2^D2(R_Pi W || P_X W | P_Pi) + c_w 2^D2(W || P_X W | P_X)."""
-    r, k, l1, l2, u, part = _as_gdd_like(params)
-    part = partition if partition is not None else part
-    kr = k * r
-    c_w = (r - l1) / kr
-    c_pi = (l1 - l2) * u / kr
-    const = 1.0 - c_w - c_pi
-    lhs = wiretap_seed_divergence(D, channel, k)
-    rhs = const + c_w * _exp_d2_w_uniform(channel.W)
-    if c_pi != 0.0:
-        if part is None:
-            raise ValueError("GDD identity needs the point class partition")
-        rhs += c_pi * _exp_d2_pi_uniform(channel.W, part)
+    const + c_pi 2^D2(R_Pi W || P_X W | P_Pi) + c_w 2^D2(W || P_X W | P_X),
+    the right-hand side of bound_wt_gdd."""
+    lhs = wiretap_seed_divergence(D, channel, params.k)
+    rhs = bound_wt_gdd(params, channel, partition).value
     return IdentityReport(lhs=lhs, rhs=rhs, discrepancy=abs(lhs - rhs))
 
 
@@ -589,18 +550,10 @@ def pa_seed_divergences(D: IncidenceStructure, joint: JointXZ, r: int) -> np.nda
 def prop42_check(D: IncidenceStructure, params, joint: JointXZ, partition=None) -> IdentityReport:
     """The privacy-amplification identity, per z:
     2^D2(P_{S|Z=z} || P_S) = v(r-l1)/(kr) 2^-H2(X|Z=z)
-                              + v(l1-l2)/(kr) 2^-H2(X_Pi|Z=z) + const."""
-    r, k, l1, l2, u, part = _as_gdd_like(params)
-    part = partition if partition is not None else part
-    v = D.v
-    kr = k * r
-    const = 1.0 - ((r - l1) + (l1 - l2) * u) / kr
-    lhs = pa_seed_divergences(D, joint, r)
-    rhs = v * (r - l1) / kr * np.exp2(-joint.h2_given_z()) + const
-    if l1 != l2:
-        if part is None:
-            raise ValueError("GDD identity needs the point class partition")
-        rhs = rhs + v * (l1 - l2) / kr * np.exp2(-joint.h2_classes_given_z(part))
+                              + v(l1-l2)/(kr) 2^-H2(X_Pi|Z=z) + const,
+    the per-z right-hand side of the privacy-amplification bounds."""
+    lhs = pa_seed_divergences(D, joint, params.r)
+    rhs = _pa_terms(params, joint, partition)[0]
     disc = float(np.abs(lhs - rhs).max())
     worst = int(np.abs(lhs - rhs).argmax())
     return IdentityReport(lhs=float(lhs[worst]), rhs=float(rhs[worst]), discrepancy=disc,
@@ -644,7 +597,7 @@ def generalized_bound(D: IncidenceStructure, channel: Optional[Channel] = None,
         out = {}
         if channel is not None:
             exact = wiretap_seed_divergence(D, channel, tact.k)
-            bound = dd * D.v / kr + cc / kr * _exp_d2_w_uniform(channel.W)
+            bound = dd * D.v / kr + cc / kr * _exp_d2_uniform(channel.W)
             out["wiretap"] = {"exact": exact, "bound": bound,
                               "dominates": bool(bound >= exact - tol)}
         if joint is not None:
@@ -694,8 +647,8 @@ def divergence_comparison(channel: Channel, partition, tol: float = 1e-9) -> San
     if len(sizes) != 1:
         raise ValueError("partition classes must have equal sizes")
     u = sizes.pop()
-    full = math.log2(_exp_d2_w_uniform(channel.W))
-    coarse = math.log2(_exp_d2_pi_uniform(channel.W, partition))
+    full = math.log2(_exp_d2_uniform(channel.W))
+    coarse = math.log2(_exp_d2_uniform(channel.W, partition))
     log_u = math.log2(u)
     left_det = all(((channel.W[list(cls)] > 0).sum(axis=0) <= 1).all() for cls in partition)
     right_det = all(np.ptp(channel.W[list(cls)], axis=0).max() == 0 for cls in partition)
@@ -753,23 +706,12 @@ class SecurityReport:
                 "dominates": self.dominates, "coefficients": self.coefficients}
 
 
-def _mosaic_bounds_wt(M: Mosaic, channel: Channel):
-    if M.member_kind == "bibd":
-        kl_b = bound_wt_bibd(M.member_params, channel)
-        tv_b = bound_wt_tv_bibd(M.member_params, channel)
-    elif M.member_kind == "gdd":
-        kl_b = bound_wt_gdd(M.member_params, channel, M.point_classes)
-        tv_b = bound_wt_tv_gdd(M.member_params, channel, M.point_classes)
-    else:
-        raise ValueError("bounds need classified members (member_kind set)")
-    return kl_b, tv_b
-
-
 def wiretap_report(M: Mosaic, channel: Channel, p_a=None, tol: float = 1e-9) -> SecurityReport:
     """Exact wiretap metrics side by side with the theorem bounds."""
     J = WiretapJoint(M, channel, p_a)
     exact = exact_wiretap_metrics(J)
-    kl_b, tv_b = _mosaic_bounds_wt(M, channel)
+    kl_b = bound_wt_gdd(M.member_params, channel, M.point_classes)
+    tv_b = bound_wt_tv_gdd(M.member_params, channel, M.point_classes)
     dominates = (2.0 ** exact["mutual_information"] <= kl_b.value + tol
                  and 2.0 ** exact["max_kl_cond"] <= kl_b.value + tol
                  and exact["tv"] <= tv_b.value + tol)
@@ -784,11 +726,8 @@ def pa_report(M: Mosaic, joint: JointXZ, tol: float = 1e-9) -> SecurityReport:
     """Exact privacy-amplification metrics side by side with the theorem bounds."""
     J = PAJoint(M, joint)
     exact = exact_pa_metrics(J)
-    params = M.member_params
-    if params is None:
-        raise ValueError("bounds need classified members")
-    kl_b = bound_pa_kl(params, joint, M.point_classes)
-    tv_b = bound_pa_tv(params, joint, M.point_classes)
+    kl_b = bound_pa_kl(M.member_params, joint, M.point_classes)
+    tv_b = bound_pa_tv(M.member_params, joint, M.point_classes)
     dominates = (2.0 ** exact["max_kl"] <= kl_b.value + tol
                  and exact["max_tv"] <= tv_b.value + tol
                  and 2.0 ** exact["mutual_information"] <= kl_b.value + tol)

@@ -140,6 +140,23 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                  ("bounds", *m1, "--channel", "identity", "--pa", "point:abc")):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "--pa" in json.loads(err)["error"]
+    prop41 = ("exact", *m1, "--check", "prop41")
+    for argv, flag in ((prop41 + ("--trials", "0"), "--trials"),
+                       (prop41 + ("--trials", "-3"), "--trials"),
+                       (prop41 + ("--tol", "nan"), "--tol"),
+                       (prop41 + ("--tol", "-1"), "--tol"),
+                       (prop41 + ("--tol", "inf"), "--tol"),
+                       (("bounds", *m1, "--channel", "identity", "--tol", "nan"), "--tol"),
+                       (("bounds", *m1, "--channel", "identity", "--tol", "-1"), "--tol"),
+                       (("bounds", *m1, "--channel", "identity", "--tol", "inf"), "--tol"),
+                       (("simulate", *m1, "--channel", "identity", "--significance", "-1"),
+                        "--significance"),
+                       (("simulate", *m1, "--channel", "identity", "--significance", "nan"),
+                        "--significance"),
+                       (("simulate", *m1, "--channel", "identity", "--significance", "2"),
+                        "--significance")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and flag in json.loads(err)["error"], argv
     missing = str(tmp_path / "absent.csv")
     for argv in (("bounds", *m1, "--channel", missing),
                  ("bounds", *m1, "--scenario", "pa", "--source", missing)):

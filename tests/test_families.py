@@ -140,11 +140,18 @@ def test_denniston_errors():
 
 
 def test_denniston_irreducibility_invariant():
-    for t in (2, 3, 4):
+    for t in (*range(2, 13), 17):
         geom = DennistonGeometry(t, 1)
         gf = geom.gf
         val = gf.div(gf.mul(geom.eta1, geom.eta3), gf.mul(geom.eta2, geom.eta2))
         assert gf.trace(val) == 1
+        # exhaustive: eta1 T^2 + eta2 T + eta3 has no root in F_q
+        fa = gf.arrays()
+        x = np.arange(geom.q)
+        values = fa.mul(geom.eta1, fa.mul(x, x)) ^ fa.mul(geom.eta2, x) ^ geom.eta3
+        assert (values != 0).all(), t
+        # and eta2 is the smallest element with the trace condition
+        assert all(gf.trace(gf.inv(gf.mul(e, e))) == 0 for e in range(1, geom.eta2)), t
 
 
 # -- M2 ------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from designmosaics.hashprops import (
     stinson_floor,
 )
 from designmosaics.mosaics import CyclicQuasigroup, construct_from_resolvable, from_members
+from test_acceptance import _grid_mosaics
 
 
 def test_m1_22_spectrum_is_a_lambda_and_stinson_floor():
@@ -126,3 +127,59 @@ def test_hashprops_report_shape():
     assert abs(rep["stinson_floor"] - 1 / 3) < 1e-12
     assert set(rep) >= {"spectrum_min", "spectrum_max", "universal",
                         "optimally_universal", "epsilon"}
+
+
+# -- oracles: the per-row bincount loops that the pair-code bincounts replaced ------
+
+def epsilon_asu_rows(M):
+    F = M.color_matrix()
+    worst = 0
+    for x in range(M.v - 1):
+        joint = F[x + 1:].astype(np.int64) * M.a + F[x]
+        for row in joint:
+            worst = max(worst, int(np.bincount(row, minlength=M.a * M.a).max()))
+    return Fraction(worst, M.b)
+
+
+def oa_check_rows(array, a):
+    F = np.asarray(array, dtype=np.int64)
+    v, b = F.shape
+    col_counts = np.stack([np.bincount(F[:, s], minlength=a) for s in range(b)])
+    counts_flat = col_counts.ravel()
+    const = bool((counts_flat == counts_flat[0]).all())
+    col_count = int(counts_flat[0]) if const else None
+    if b % (a * a):
+        return (False, None, const, col_count, None)
+    lam = b // (a * a)
+    worst = 0
+    for x in range(v - 1):
+        joint = F[x + 1:] * a + F[x]
+        for row in joint:
+            pair_counts = np.bincount(row, minlength=a * a)
+            worst = max(worst, int(pair_counts.max()))
+            if not (pair_counts == lam).all():
+                return (False, None, const, col_count, Fraction(worst, b))
+    return (True, lam, const, col_count, Fraction(lam * a, b))
+
+
+def test_pair_code_bincounts_match_row_loop_oracles():
+    def fields(rep):
+        return (rep.is_oa, rep.lam, rep.column_counts_constant, rep.column_count, rep.epsilon)
+
+    for M in _grid_mosaics():
+        assert epsilon_asu(M) == epsilon_asu_rows(M), M
+        assert fields(oa_check(M.color_matrix(), a=M.a)) == oa_check_rows(M.color_matrix(), M.a), M
+    vecs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    parity = np.array([[(h0 * x0 + h1 * x1) % 2 for x0, x1 in vecs]
+                       for h0, h1 in [(0, 1), (1, 0), (1, 1)]])
+    # the parity OA with row 1 repeated fails first at the pair (1, 3)
+    repeated = np.vstack([parity, parity[1]])
+    rng = np.random.default_rng(23)
+    arrays = [(np.zeros((3, 4), dtype=int), 1), (parity, 2), (repeated, 2),
+              (rng.integers(0, 3, size=(6, 18)), 3)]
+    for arr, a in arrays:
+        assert fields(oa_check(arr, a=a)) == oa_check_rows(arr, a), arr
+    assert not oa_check(repeated, a=2).is_oa
+    for arr, a in ((parity, 1), (parity - 1, 2)):
+        with pytest.raises(ValueError, match="entries"):
+            oa_check(arr, a=a)

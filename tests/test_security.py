@@ -7,6 +7,8 @@ import pytest
 from designmosaics.designs import GDDParams, IncidenceStructure
 from designmosaics.families import ag_design, build_m1, build_m2, build_m3, build_m4, clatworthy_r1
 from designmosaics.security import (
+    INF,
+    _pa_terms,
     Channel,
     JointXZ,
     PAJoint,
@@ -24,6 +26,8 @@ from designmosaics.security import (
     entropy_comparison,
     exact_pa_metrics,
     exact_wiretap_metrics,
+    exp_d2,
+    exp_d2_cond,
     generalized_bound,
     key_marginal_exact,
     kl,
@@ -43,6 +47,7 @@ from designmosaics.simkit import (
     random_channel,
     random_source,
 )
+from test_acceptance import _grid_mosaics
 
 
 def wiretap_tensor(J):
@@ -516,3 +521,232 @@ def test_pa_report_d2_attains_bound():
         src = random_source(M.v, 4, rng)
         rep = pa_report(M, src)
         assert abs(2 ** rep.exact["max_d2_seed"] - rep.bounds["exp_max_kl"]) < 1e-9
+
+
+# -- oracles: the row loops and BIBD closed forms the joint-vs-product kernel
+#    and the GDD coefficient view replaced -----------------------------------------
+
+def kl_cond_rows(W, Q, P):
+    W = np.asarray(W, dtype=float)
+    P = np.asarray(P, dtype=float).ravel()
+    total = 0.0
+    for x in range(W.shape[0]):
+        if P[x] > 0:
+            term = kl(W[x], Q)
+            if term == INF:
+                return INF
+            total += P[x] * term
+    return total
+
+
+def exp_d2_cond_rows(W, Q, P):
+    W = np.asarray(W, dtype=float)
+    Q = np.asarray(Q, dtype=float).ravel()
+    P = np.asarray(P, dtype=float).ravel()
+    total = 0.0
+    for x in range(W.shape[0]):
+        if P[x] > 0:
+            term = exp_d2(W[x], Q)
+            if term == INF:
+                return INF
+            total += P[x] * term
+    return total
+
+
+def d2_cond_rows(W, Q, P):
+    val = exp_d2_cond_rows(W, Q, P)
+    return INF if val == INF else float(np.log2(val))
+
+
+def mutual_information_rows(P_XY):
+    P = np.asarray(P_XY, dtype=float)
+    P_X = P.sum(axis=1)
+    P_Y = P.sum(axis=0)
+    total = 0.0
+    for x in range(P.shape[0]):
+        if P_X[x] > 0:
+            term = kl(P[x] / P_X[x], P_Y)
+            if term == INF:
+                return INF
+            total += P_X[x] * term
+    return total
+
+
+def exact_wiretap_metrics_rows(J):
+    cond = J.cond_zs
+    a, nz, b = cond.shape
+    p_a = J.p_a
+    p_zsa = cond * p_a[:, None, None]
+    p_zs = p_zsa.sum(axis=0)
+    mi = 0.0
+    for al in range(a):
+        if p_a[al] > 0:
+            mi += p_a[al] * kl(cond[al], p_zs)
+    unif_b = np.full(b, 1.0 / b)
+    max_kl = -INF
+    max_d2 = -INF
+    for al in range(a):
+        rows = (b * cond[al]).T
+        max_kl = max(max_kl, kl_cond_rows(rows, J.p_z, unif_b))
+        max_d2 = max(max_d2, d2_cond_rows(rows, J.p_z, unif_b))
+    ref = J.p_z[:, None] / b
+    tv_metric = float(np.abs(p_zsa - p_zs[None, :, :] * p_a[:, None, None]).sum())
+    tv_upper = 2.0 * max(float(np.abs(cond[al] - ref).sum()) for al in range(a))
+    return {
+        "mutual_information": mi,
+        "max_kl_cond": max_kl,
+        "max_d2_cond": max_d2,
+        "tv": tv_metric,
+        "tv_upper": tv_upper,
+        "chain_ok": bool(mi <= max_kl + 1e-12 and max_kl <= max_d2 + 1e-12),
+        "tv_chain_ok": bool(tv_metric <= tv_upper + 1e-12),
+    }
+
+
+def exact_pa_metrics_rows(J):
+    cond = J.cond_zs
+    a, nz, b = cond.shape
+    ref = np.broadcast_to(J.p_z[:, None] / b, (nz, b))
+    max_kl = max(kl(cond[al], ref) for al in range(a))
+    max_tv = max(tv(cond[al], ref) for al in range(a))
+    p_zs = cond.mean(axis=0)
+    mi = sum(kl(cond[al], p_zs) for al in range(a)) / a
+    unif_b = np.full(b, 1.0 / b)
+    max_d2_s = -INF
+    for al in range(a):
+        for z in range(nz):
+            max_d2_s = max(max_d2_s, d2(J.cond_s_given_za[al, z], unif_b))
+    key_dev = float(np.abs(cond.sum(axis=(1, 2)) / a - 1.0 / a).max())
+    return {
+        "max_kl": max_kl,
+        "max_tv": max_tv,
+        "mutual_information": mi,
+        "max_d2_seed": max_d2_s,
+        "key_uniformity_deviation": key_dev,
+        "strong_secrecy_ok": bool(mi <= max_kl + 1e-12),
+    }
+
+
+def exp_d2_w_uniform_closed(W):
+    W = np.asarray(W, dtype=float)
+    pz = W.mean(axis=0)
+    m = pz > 0
+    return float((np.square(W[:, m]) / pz[m]).sum() / W.shape[0])
+
+
+def bound_wt_bibd_closed(params, channel):
+    c = (params.r - params.lam) / (params.k * params.r)
+    ew = exp_d2_w_uniform_closed(channel.W)
+    return (1.0 - c) + c * ew, {"const": 1.0 - c, "exp_d2_w": c}
+
+
+def bound_wt_tv_bibd_closed(params, channel):
+    c = (params.r - params.lam) / (params.k * params.r)
+    ew = exp_d2_w_uniform_closed(channel.W)
+    return 2.0 * math.sqrt(max(c * (ew - 1.0), 0.0)), c
+
+
+def pa_terms_bibd_closed(params, joint):
+    a = params.v // params.k
+    coeff_h2 = a * (params.r - params.lam) / params.r
+    const = 1.0 - (params.r - params.lam) / (params.k * params.r)
+    vals = coeff_h2 * np.exp2(-joint.h2_given_z()) + const
+    return vals, {"coeff_h2": coeff_h2, "coeff_pi": 0.0, "const": const}
+
+
+def gdd_closed_forms(params, channel, joint, partition):
+    """Wiretap value, total-variation value, per-z PA values and PA
+    coefficients of a GDD from its own c_w, c_pi, as computed before the
+    coefficient view was shared with BIBDs."""
+    kr = params.k * params.r
+    c_w = (params.r - params.lambda1) / kr
+    c_pi = (params.lambda1 - params.lambda2) * params.u / kr
+    const = 1.0 - c_w - c_pi
+    W = channel.W
+    ew = exp_d2_w_uniform_closed(W)
+    rows = np.stack([W[list(cls)].mean(axis=0) for cls in partition])
+    pz = W.mean(axis=0)
+    m = pz > 0
+    epi = float((np.square(rows[:, m]) / pz[m]).sum() / rows.shape[0])
+    a = params.v // params.k
+    coeff_h2 = a * (params.r - params.lambda1) / params.r
+    coeff_pi = a * (params.lambda1 - params.lambda2) / params.r
+    vals = (coeff_h2 * np.exp2(-joint.h2_given_z())
+            + coeff_pi * np.exp2(-joint.h2_classes_given_z(partition)) + const)
+    return (const + c_pi * epi + c_w * ew,
+            2.0 * math.sqrt(max(c_w * ew + c_pi * epi - (c_w + c_pi), 0.0)),
+            vals, {"coeff_h2": coeff_h2, "coeff_pi": coeff_pi, "const": const})
+
+
+def _assert_same(got, want, tol=1e-12):
+    """Same keys; identical booleans and infinities; floats within tol."""
+    assert list(got) == list(want)
+    for key, w in want.items():
+        g = got[key]
+        if isinstance(w, bool):
+            assert g is w, key
+        elif math.isinf(w) or math.isinf(g):
+            assert g == w, key
+        else:
+            assert abs(g - w) <= tol, (key, g, w)
+
+
+def test_joint_vs_product_kernel_matches_row_loop_oracles():
+    """Over the acceptance grid, under uniform, Dirichlet and point-mass P_A:
+    the conditional divergences, mutual information, exact metrics and BIBD
+    bounds agree with the row loops and closed forms to 1e-12."""
+    rng = np.random.default_rng(4104)
+    for M in _grid_mosaics():
+        nz = int(rng.integers(2, 7))
+        W = random_channel(M.v, nz, rng)
+        point = np.zeros(M.a)
+        point[int(rng.integers(M.a))] = 1.0
+        for p_a in (None, rng.dirichlet(np.ones(M.a)), point):
+            J = WiretapJoint(M, W, p_a)
+            _assert_same(exact_wiretap_metrics(J), exact_wiretap_metrics_rows(J))
+        src = random_source(M.v, nz, rng)
+        _assert_same(exact_pa_metrics(PAJoint(M, src)), exact_pa_metrics_rows(PAJoint(M, src)))
+
+        P_X = rng.dirichlet(np.ones(M.v))
+        Q = rng.dirichlet(np.ones(nz))
+        for fn, oracle in ((kl_cond, kl_cond_rows), (exp_d2_cond, exp_d2_cond_rows),
+                           (d2_cond, d2_cond_rows)):
+            assert abs(fn(W.W, Q, P_X) - oracle(W.W, Q, P_X)) <= 1e-12, (M, fn)
+            assert abs(fn(W.W, W.output_distribution(P_X), P_X)
+                       - oracle(W.W, W.output_distribution(P_X), P_X)) <= 1e-12, (M, fn)
+        assert abs(mutual_information(src.P) - mutual_information_rows(src.P)) <= 1e-12, M
+
+        params = M.member_params
+        if M.member_kind == "gdd":
+            value, tv_value, vals, coeffs = gdd_closed_forms(params, W, src, M.point_classes)
+            assert abs(bound_wt_gdd(params, W, M.point_classes).value - value) <= 1e-12, M
+            assert abs(bound_wt_tv_gdd(params, W, M.point_classes).value - tv_value) <= 1e-12, M
+            got_vals, got_coeffs, _ = _pa_terms(params, src, M.point_classes)
+            assert np.abs(got_vals - vals).max() <= 1e-12, M
+            _assert_same(got_coeffs, coeffs)
+            continue
+        value, coeffs = bound_wt_bibd_closed(params, W)
+        rep = bound_wt_bibd(params, W)
+        assert abs(rep.value - value) <= 1e-12 and rep.specialization is None, M
+        _assert_same(rep.coefficients, coeffs)
+        value, c = bound_wt_tv_bibd_closed(params, W)
+        rep = bound_wt_tv_bibd(params, W)
+        assert abs(rep.value - value) <= 1e-12, M
+        _assert_same(rep.coefficients, {"const": -c, "exp_d2_w": c})
+        vals, coeffs = pa_terms_bibd_closed(params, src)
+        got_vals, got_coeffs, spec = _pa_terms(params, src, M.point_classes)
+        assert np.abs(got_vals - vals).max() <= 1e-12 and spec is None, M
+        _assert_same(got_coeffs, coeffs)
+
+
+def test_conditional_divergences_support_escape():
+    # W(.|x) puts mass on a letter z with Q(z) = 0: infinite unless P(x) = 0
+    W = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.0, 0.4, 0.6]])
+    Q = np.array([0.5, 0.5, 0.0])
+    for P in (np.full(3, 1 / 3), np.array([0.5, 0.0, 0.5])):
+        assert kl_cond(W, Q, P) == kl_cond_rows(W, Q, P) == INF
+        assert d2_cond(W, Q, P) == d2_cond_rows(W, Q, P) == INF
+        assert exp_d2_cond(W, Q, P) == exp_d2_cond_rows(W, Q, P) == INF
+    P = np.array([1.0, 0.0, 0.0])     # the escaping rows carry no input mass
+    assert kl_cond(W, Q, P) == kl_cond_rows(W, Q, P) == 0.0
+    assert abs(d2_cond(W, Q, P) - d2_cond_rows(W, Q, P)) <= 1e-12
