@@ -11,6 +11,12 @@ BIBD is the GDD case lambda1 = lambda2 = lambda, u = 1, whose class term
 vanishes.  A conditional divergence is the divergence of a joint law from a
 product, D(W || Q | P) = D(P W || P x Q), so the exact metrics are per-color
 divergences of P_{ZS|A=alpha} from the products P_ZS and P_Z x U_S.
+
+Each joint law holds one (a, nz, b) float array, the stack P_{ZS|A=alpha}
+(``cond_zs``), scattered from the color matrix and scaled in place; the
+P_A-weighted law ``p_zsa`` and the privacy-amplification seed law
+``cond_s_given_za`` are derived from it on demand, and the exact metrics
+reduce it one color at a time.
 """
 
 from __future__ import annotations
@@ -227,7 +233,8 @@ class WiretapJoint:
         if (p_a.shape != (mosaic.a,) or not np.isfinite(p_a).all() or (p_a < 0).any()
                 or abs(p_a.sum() - 1) > 1e-9):
             raise ValueError("P_A must be a finite distribution on the color set")
-        self.cond_zs = _scatter_by_color(mosaic, channel.W) / (mosaic.b * mosaic.k)
+        self.cond_zs = _scatter_by_color(mosaic, channel.W)
+        self.cond_zs /= mosaic.b * mosaic.k
         self.p_z = channel.output_distribution()
         self.p_a = p_a
         self.mosaic = mosaic
@@ -245,17 +252,17 @@ class WiretapJoint:
 class PAJoint:
     """P_{XZSA}(x,z,s,alpha) = P_XZ(x,z) N_alpha(x,s) / b.
 
-    The key marginal is uniform; the seed law given the observation is
-    P_{S|Z=z,A=alpha}(s) = (p_z^T N_alpha)(s) / (r p_z^T 1).
+    Stores the stack P_{ZS|A=alpha} only.  The key marginal is uniform and
+    independent of Z, P_{Z|A=alpha} = P_Z, so the seed law given the
+    observation, P_{S|Z=z,A=alpha}(s) = (p_z^T N_alpha)(s) / (r p_z^T 1), is
+    derived from the stack on demand (a r = b).
     """
 
     def __init__(self, mosaic: Mosaic, joint: JointXZ, tol=1e-10):
         if joint.v != mosaic.v:
             raise ValueError(f"source size {joint.v} != mosaic point count {mosaic.v}")
-        r = mosaic.b * mosaic.k // mosaic.v
-        pzN = _scatter_by_color(mosaic, joint.P)
-        self.cond_zs = pzN * (mosaic.a / mosaic.b)                 # P_{ZS|A=alpha}
-        self.cond_s_given_za = pzN / (r * joint.P_Z[None, :, None])
+        self.cond_zs = _scatter_by_color(mosaic, joint.P)          # p_z^T N_alpha
+        self.cond_zs *= mosaic.a / mosaic.b                        # P_{ZS|A=alpha}
         self.p_z = joint.P_Z
         self.p_a = np.full(mosaic.a, 1.0 / mosaic.a)
         self.mosaic = mosaic
@@ -267,6 +274,11 @@ class PAJoint:
     @property
     def p_zsa(self) -> np.ndarray:
         return self.cond_zs / self.mosaic.a
+
+    @property
+    def cond_s_given_za(self) -> np.ndarray:
+        """P_{S|Z=z,A=alpha} = P_{ZS|A=alpha}(z, .) / P_Z(z), a new array."""
+        return self.cond_zs / self.p_z[None, :, None]
 
 
 def key_marginal_exact(mosaic: Mosaic, P_XZ) -> list:
@@ -342,8 +354,10 @@ def exact_pa_metrics(J: PAJoint) -> dict:
     cond = J.cond_zs
     a, _, b = cond.shape
     mi, _, max_kl, _, max_tv = _color_divergences(cond, J.p_a, J.p_z)
-    # D2(P_{S|Z=z,A=alpha} || U_S) = log2(b sum_s P(s|z,alpha)^2), maximized over z per color
-    max_d2_s = float(np.log2(b * max(np.square(c).sum(axis=1).max() for c in J.cond_s_given_za)))
+    # D2(P_{S|Z=z,A=alpha} || U_S) = log2(b sum_s P(s|z,alpha)^2), maximized over z,
+    # one color at a time
+    max_d2_s = float(np.log2(b * max(np.square(c / J.p_z[:, None]).sum(axis=1).max()
+                                     for c in cond)))
     key_dev = float(np.abs(cond.sum(axis=(1, 2)) / a - 1.0 / a).max())
 
     return {
@@ -421,16 +435,24 @@ def _gdd_specialization(params: GDDParams, const, c_pi, c_w) -> dict:
     return out
 
 
-def _wt_terms(params, channel: Channel, partition) -> tuple:
-    """(const, terms, specialization) of the wiretap bounds, where terms maps
-    each divergence term to (coefficient, 2^D2 under uniform input); the class
+def _wt_bounds(params, channel: Channel, partition) -> tuple:
+    """The mutual-information and total-variation wiretap bounds, from one
+    evaluation of each divergence term 2^D2 under uniform input; the class
     term exp_d2_pi and the specialization are for GDDs only."""
     const, c_pi, c_w, partition = _coefficients(params, partition)
     terms = {"exp_d2_w": (c_w, _exp_d2_uniform(channel.W))}
-    if partition is None:
-        return const, terms, None
-    terms = {"exp_d2_pi": (c_pi, _exp_d2_uniform(channel.W, partition)), **terms}
-    return const, terms, _gdd_specialization(params, const, c_pi, c_w)
+    spec = None
+    if partition is not None:
+        terms = {"exp_d2_pi": (c_pi, _exp_d2_uniform(channel.W, partition)), **terms}
+        spec = _gdd_specialization(params, const, c_pi, c_w)
+    coeffs = {n: c for n, (c, _) in terms.items()}
+    inner = sum(c * (e - 1.0) for c, e in terms.values())
+    kl_b = BoundReport(value=sum((c * e for c, e in terms.values()), const),
+                       coefficients={"const": const, **coeffs}, specialization=spec)
+    tv_b = BoundReport(value=2.0 * math.sqrt(max(inner, 0.0)),
+                       coefficients={"const": -sum(coeffs.values()), **coeffs},
+                       specialization=spec)
+    return kl_b, tv_b
 
 
 def bound_wt_bibd(params: BIBDParams, channel: Channel) -> BoundReport:
@@ -444,10 +466,7 @@ def bound_wt_gdd(params, channel: Channel, partition=None) -> BoundReport:
     """Mutual-information bound for mosaics of GDDs with a common point class
     partition, const + c_pi 2^D2(R_Pi W || P_X W | P_Pi) + c_w 2^D2(W || P_X W | P_X);
     the partition enters through the coarsened channel R_Pi W."""
-    const, terms, spec = _wt_terms(params, channel, partition)
-    return BoundReport(value=sum((c * e for c, e in terms.values()), const),
-                       coefficients={"const": const, **{n: c for n, (c, _) in terms.items()}},
-                       specialization=spec)
+    return _wt_bounds(params, channel, partition)[0]
 
 
 def bound_wt_tv_bibd(params: BIBDParams, channel: Channel) -> BoundReport:
@@ -458,12 +477,7 @@ def bound_wt_tv_bibd(params: BIBDParams, channel: Channel) -> BoundReport:
 
 def bound_wt_tv_gdd(params, channel: Channel, partition=None) -> BoundReport:
     """Total-variation bound 2 sqrt(c_pi (2^D2(R_Pi W..) - 1) + c_w (2^D2(W..) - 1))."""
-    _, terms, spec = _wt_terms(params, channel, partition)
-    inner = sum(c * (e - 1.0) for c, e in terms.values())
-    return BoundReport(value=2.0 * math.sqrt(max(inner, 0.0)),
-                       coefficients={"const": -sum(c for c, _ in terms.values()),
-                                     **{n: c for n, (c, _) in terms.items()}},
-                       specialization=spec)
+    return _wt_bounds(params, channel, partition)[1]
 
 
 def _pa_terms(params, joint: JointXZ, partition):
@@ -499,18 +513,24 @@ def _pa_terms(params, joint: JointXZ, partition):
     return vals, {"coeff_h2": coeff_h2, "coeff_pi": coeff_pi, "const": const}, spec
 
 
+def _pa_bounds(params, joint: JointXZ, partition) -> tuple:
+    """The key-leakage and total-variation key bounds, from one evaluation of
+    the per-z Renyi terms."""
+    vals, coeffs, spec = _pa_terms(params, joint, partition)
+    return (BoundReport(value=float(vals.max()), coefficients=coeffs, specialization=spec),
+            BoundReport(value=float(np.sqrt(np.clip(vals - 1.0, 0.0, None)).max()),
+                        coefficients=coeffs, specialization=spec))
+
+
 def bound_pa_kl(params, joint: JointXZ, partition=None) -> BoundReport:
     """Key-leakage bound: max_alpha 2^D(P_{ZS|A=a} || P_Z P_S) is at most the
     worst-z Renyi term (exact per design, see the identity checks)."""
-    vals, coeffs, spec = _pa_terms(params, joint, partition)
-    return BoundReport(value=float(vals.max()), coefficients=coeffs, specialization=spec)
+    return _pa_bounds(params, joint, partition)[0]
 
 
 def bound_pa_tv(params, joint: JointXZ, partition=None) -> BoundReport:
     """Total-variation key bound: sqrt of the worst-z Renyi term minus one."""
-    vals, coeffs, spec = _pa_terms(params, joint, partition)
-    return BoundReport(value=float(np.sqrt(np.clip(vals - 1.0, 0.0, None)).max()),
-                       coefficients=coeffs, specialization=spec)
+    return _pa_bounds(params, joint, partition)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +571,13 @@ def prop42_check(D: IncidenceStructure, params, joint: JointXZ, partition=None) 
     """The privacy-amplification identity, per z:
     2^D2(P_{S|Z=z} || P_S) = v(r-l1)/(kr) 2^-H2(X|Z=z)
                               + v(l1-l2)/(kr) 2^-H2(X_Pi|Z=z) + const,
-    the per-z right-hand side of the privacy-amplification bounds."""
+    the per-z right-hand side of the privacy-amplification bounds.  The
+    discrepancy is the largest over z; lhs and rhs are read at the z with the
+    largest right-hand side, the worst-z term of bound_pa_kl."""
     lhs = pa_seed_divergences(D, joint, params.r)
     rhs = _pa_terms(params, joint, partition)[0]
     disc = float(np.abs(lhs - rhs).max())
-    worst = int(np.abs(lhs - rhs).argmax())
+    worst = int(rhs.argmax())
     return IdentityReport(lhs=float(lhs[worst]), rhs=float(rhs[worst]), discrepancy=disc,
                           per_z=tuple(zip(lhs.tolist(), rhs.tolist())))
 
@@ -710,8 +732,7 @@ def wiretap_report(M: Mosaic, channel: Channel, p_a=None, tol: float = 1e-9) -> 
     """Exact wiretap metrics side by side with the theorem bounds."""
     J = WiretapJoint(M, channel, p_a)
     exact = exact_wiretap_metrics(J)
-    kl_b = bound_wt_gdd(M.member_params, channel, M.point_classes)
-    tv_b = bound_wt_tv_gdd(M.member_params, channel, M.point_classes)
+    kl_b, tv_b = _wt_bounds(M.member_params, channel, M.point_classes)
     dominates = (2.0 ** exact["mutual_information"] <= kl_b.value + tol
                  and 2.0 ** exact["max_kl_cond"] <= kl_b.value + tol
                  and exact["tv"] <= tv_b.value + tol)
@@ -726,8 +747,7 @@ def pa_report(M: Mosaic, joint: JointXZ, tol: float = 1e-9) -> SecurityReport:
     """Exact privacy-amplification metrics side by side with the theorem bounds."""
     J = PAJoint(M, joint)
     exact = exact_pa_metrics(J)
-    kl_b = bound_pa_kl(M.member_params, joint, M.point_classes)
-    tv_b = bound_pa_tv(M.member_params, joint, M.point_classes)
+    kl_b, tv_b = _pa_bounds(M.member_params, joint, M.point_classes)
     dominates = (2.0 ** exact["max_kl"] <= kl_b.value + tol
                  and exact["max_tv"] <= tv_b.value + tol
                  and 2.0 ** exact["mutual_information"] <= kl_b.value + tol)

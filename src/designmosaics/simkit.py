@@ -4,6 +4,12 @@ Both scenarios have exact joint laws (computed in :mod:`.security`), so the
 Monte Carlo pipelines here are calibration checks: decode correctness, key
 agreement, and chi-square goodness of fit of the empirical histograms against
 the exact distributions.
+
+The statistics copy no more than they must: the chi-square probabilities are
+one (z, s, alpha) copy of the joint law's single P_{ZS|A} stack, scaled in
+place; channel draws search each trial's cumulative row instead of comparing
+against it; batch mutual information counts the observed cell codes instead
+of filling a dense contingency table.
 """
 
 from __future__ import annotations
@@ -98,28 +104,36 @@ def chi_square_gof(counts, probs, min_expected: float = 5.0):
     """Pearson chi-square against an exact law, pooling rare cells.
 
     Cells with expected count below ``min_expected`` are merged into one pooled
-    bin.  Observations in zero-probability cells are impossible under the
-    claimed law, so they force p = 0.
+    bin, the last one.  Observations in zero-probability cells are impossible
+    under the claimed law, so they force p = 0.
     """
-    counts = np.asarray(counts, dtype=float).ravel()
+    counts = np.asarray(counts).ravel()
     probs = np.asarray(probs, dtype=float).ravel()
-    n = counts.sum()
+    n = float(counts.sum())
     if counts[probs <= 0].sum() > 0:
         return math.inf, 0, 0.0
     keep = probs > 0
-    counts, probs = counts[keep], probs[keep]
-    expected = probs * n
+    expected = probs[keep]
+    expected *= n
+    counts = counts[keep]
     big = expected >= min_expected
-    obs = counts[big].tolist()
-    exp = expected[big].tolist()
-    if (~big).any():
-        obs.append(counts[~big].sum())
-        exp.append(expected[~big].sum())
-    obs = np.asarray(obs)
-    exp = np.asarray(exp)
+    m = int(big.sum())
+    pooled = m < len(big)
+    obs = np.empty(m + pooled)
+    exp = np.empty(m + pooled)
+    obs[:m] = counts[big]
+    exp[:m] = expected[big]
+    if pooled:
+        rare = ~big
+        obs[m] = counts[rare].sum()
+        exp[m] = expected[rare].sum()
     pos = exp > 0
-    stat = float((np.square(obs[pos] - exp[pos]) / exp[pos]).sum())
-    df = max(int(pos.sum()) - 1, 1)
+    obs, exp = obs[pos], exp[pos]
+    obs -= exp
+    np.square(obs, out=obs)
+    obs /= exp
+    stat = float(obs.sum())
+    df = max(len(exp) - 1, 1)
     return stat, df, float(chi2_dist.sf(stat, df))
 
 
@@ -132,12 +146,15 @@ def _miller_madow_entropy(counts) -> float:
     return h + (len(p) - 1) / (2.0 * n * math.log(2.0))
 
 
-def _empirical_mi(joint_counts) -> float:
-    """Miller-Madow corrected plug-in estimate of I(A ^ rest) from a (cells, a)
-    contingency array."""
-    c = np.asarray(joint_counts, dtype=float)
-    return (_miller_madow_entropy(c.sum(axis=0)) + _miller_madow_entropy(c.sum(axis=1))
-            - _miller_madow_entropy(c))
+def _empirical_mi(cells, a: int) -> float:
+    """Miller-Madow corrected plug-in estimate of I(A ^ rest) from the cell
+    codes rest * a + alpha of the observations.  np.unique lists the nonzero
+    cells of the (rest, a) contingency table, and of its row marginal, in
+    row-major order, without the table."""
+    cells = np.asarray(cells)
+    return (_miller_madow_entropy(np.bincount(cells % a, minlength=a))
+            + _miller_madow_entropy(np.unique(cells // a, return_counts=True)[1])
+            - _miller_madow_entropy(np.unique(cells, return_counts=True)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +201,24 @@ class SimResult:
 
 
 def _draw_outputs(W, xs, rng):
+    """One channel output per input: z = #{z' : cum[x, z'] < u} for a uniform
+    u, by a binary search of each trial's cumulative row (nondecreasing, as W
+    is nonnegative) in O(trials) memory.  A u beyond the row's total, possible
+    when a row sums to 1 - tol, is clamped to the last z with w(z|x) > 0."""
+    W = np.asarray(W)
+    nz = W.shape[1]
     cum = np.cumsum(W, axis=1)
+    last = nz - 1 - np.argmax(W[:, ::-1] > 0, axis=1)
     us = rng.random(len(xs))
-    return (us[:, None] > cum[xs]).sum(axis=1)
+    lo = np.zeros(len(xs), dtype=np.int64)
+    hi = np.full(len(xs), nz, dtype=np.int64)
+    for _ in range(nz.bit_length()):
+        mid = (lo + hi) // 2
+        below = cum[xs, np.minimum(mid, nz - 1)] < us
+        below &= mid < hi
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return np.minimum(lo, last[xs])
 
 
 def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
@@ -216,19 +248,17 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
 
     joint = WiretapJoint(M, cfg.channel, p_a)
     nz = cfg.channel.nz
-    probs = np.moveaxis(joint.p_zsa, 0, -1).ravel()       # (z, s, alpha) cells
+    probs = np.moveaxis(joint.cond_zs, 0, -1).copy()     # (z, s, alpha) cells
+    probs *= joint.p_a                                    # P_{ZSA}
     cells = (zs * M.b + seeds) * M.a + alphas
     counts = np.bincount(cells, minlength=nz * M.b * M.a)
     stat, df, pval = chi_square_gof(counts, probs)
+    del probs
 
     exact = exact_wiretap_metrics(joint)
-    batch_mi = []
     per_batch = n // cfg.batches
-    for i in range(cfg.batches):
-        sl = slice(i * per_batch, (i + 1) * per_batch)
-        table = np.zeros((nz * M.b, M.a))
-        np.add.at(table, (zs[sl] * M.b + seeds[sl], alphas[sl]), 1.0)
-        batch_mi.append(_empirical_mi(table))
+    batch_mi = [_empirical_mi(cells[i * per_batch:(i + 1) * per_batch], M.a)
+                for i in range(cfg.batches)]
     mi_mean = float(np.mean(batch_mi))
     mi_se = float(np.std(batch_mi, ddof=1) / math.sqrt(len(batch_mi))) if len(batch_mi) > 1 else 0.0
 
@@ -267,10 +297,12 @@ def pa_roundtrip(cfg: SimConfig) -> SimResult:
     joint = PAJoint(M, src)
     key_counts = np.bincount(keys, minlength=M.a)
     _, _, p_key = chi_square_gof(key_counts, np.full(M.a, 1.0 / M.a))
-    probs = np.moveaxis(joint.p_zsa, 0, -1).ravel()
+    probs = np.moveaxis(joint.cond_zs, 0, -1).copy()
+    probs /= M.a                                          # P_{ZSA}, uniform key
     cells = (zs * M.b + seeds) * M.a + keys
     counts = np.bincount(cells, minlength=nz * M.b * M.a)
     stat, df, p_joint = chi_square_gof(counts, probs)
+    del probs
 
     # empirical worst-key TV against the product reference
     ref = np.broadcast_to(joint.p_z[:, None] / M.b, (nz, M.b)).ravel()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 
 from designmosaics.designs import GDDParams, IncidenceStructure
 from designmosaics.families import ag_design, build_m1, build_m2, build_m3, build_m4, clatworthy_r1
+from designmosaics import security
 from designmosaics.security import (
     INF,
     _pa_terms,
+    _scatter_by_color,
     Channel,
     JointXZ,
     PAJoint,
@@ -514,6 +517,57 @@ def test_pa_report_dominates_random():
             assert rep.dominates
 
 
+def test_reports_evaluate_each_bound_term_once(monkeypatch):
+    """wiretap_report evaluates each uniform-input divergence once for both of
+    its bounds, pa_report each per-z Renyi entropy once; the bounds keep the
+    values of the public bound functions."""
+    calls = {"exp_d2": 0, "h2": 0, "h2_classes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(security, "_exp_d2_uniform",
+                        counted("exp_d2", security._exp_d2_uniform))
+    monkeypatch.setattr(JointXZ, "h2_given_z", counted("h2", JointXZ.h2_given_z))
+    monkeypatch.setattr(JointXZ, "h2_classes_given_z",
+                        counted("h2_classes", JointXZ.h2_classes_given_z))
+    rng = np.random.default_rng(23)
+    for M, n_terms in ((build_m1(2, 3), 1), (build_m4(3, 4), 2), (build_m3(2, 1, 2), 2)):
+        W = random_channel(M.v, 4, rng)
+        calls.update(exp_d2=0)
+        rep = wiretap_report(M, W)
+        assert calls["exp_d2"] == n_terms, M
+        params, part = M.member_params, M.point_classes
+        assert rep.bounds == {"exp_mutual_information": bound_wt_gdd(params, W, part).value,
+                              "tv": bound_wt_tv_gdd(params, W, part).value}
+        assert rep.coefficients["tv"] == bound_wt_tv_gdd(params, W, part).coefficients
+        src = random_source(M.v, 4, rng)
+        calls.update(h2=0, h2_classes=0)
+        rep = pa_report(M, src)
+        assert (calls["h2"], calls["h2_classes"]) == (1, n_terms - 1), M
+        assert rep.bounds == {"exp_max_kl": bound_pa_kl(params, src, part).value,
+                              "tv": bound_pa_tv(params, src, part).value}
+
+
+def test_prop42_headline_pair_is_the_worst_z_term():
+    """lhs/rhs are read at the z of the largest right-hand side, the term
+    bound_pa_kl reports, so a 1-ulp change of P_XZ leaves them in place."""
+    rng = np.random.default_rng(42)
+    for M in _grid_mosaics():
+        D = M.member(0)
+        src = random_source(M.v, 4, rng)
+        rep = prop42_check(D, M.member_params, src, M.point_classes)
+        assert rep.rhs == bound_pa_kl(M.member_params, src, M.point_classes).value, M
+        assert rep.rhs == max(rhs for _, rhs in rep.per_z), M
+        P = src.P.copy()
+        P.flat[0] = np.nextafter(P.flat[0], 1.0)
+        again = prop42_check(D, M.member_params, JointXZ(P), M.point_classes)
+        assert abs(again.lhs - rep.lhs) <= 1e-12 and abs(again.rhs - rep.rhs) <= 1e-12, M
+
+
 def test_pa_report_d2_attains_bound():
     # the worst-case seed Renyi divergence is EQUAL to the bound (Prop level)
     rng = np.random.default_rng(21)
@@ -750,3 +804,68 @@ def test_conditional_divergences_support_escape():
     P = np.array([1.0, 0.0, 0.0])     # the escaping rows carry no input mass
     assert kl_cond(W, Q, P) == kl_cond_rows(W, Q, P) == 0.0
     assert abs(d2_cond(W, Q, P) - d2_cond_rows(W, Q, P)) <= 1e-12
+
+
+# -- oracles: the three-array PAJoint and the copying WiretapJoint that the
+#    one-array joint laws replaced ---------------------------------------------------
+
+class PAJointThreeArrays:
+    """PAJoint as it was: the scatter output pzN, a scaled copy for P_{ZS|A}
+    and another for P_{S|Z,A}."""
+
+    def __init__(self, M, joint):
+        r = M.b * M.k // M.v
+        pzN = _scatter_by_color(M, joint.P)
+        self.cond_zs = pzN * (M.a / M.b)
+        self.cond_s_given_za = pzN / (r * joint.P_Z[None, :, None])
+        self.p_zsa = self.cond_zs / M.a
+        self.max_d2_seed = float(np.log2(M.b * max(np.square(c).sum(axis=1).max()
+                                                   for c in self.cond_s_given_za)))
+
+
+def test_one_array_joint_laws_match_copying_oracles():
+    """Over the acceptance grid, P_{ZS|A} and P_{ZSA} are bit-identical to the
+    copying constructions; P_{S|Z,A} agrees to 1e-12, max_d2_seed to 1e-12
+    relative."""
+    rng = np.random.default_rng(2103)
+    for M in _grid_mosaics():
+        nz = int(rng.integers(2, 7))
+        W = random_channel(M.v, nz, rng)
+        p_a = rng.dirichlet(np.ones(M.a))
+        J = WiretapJoint(M, W, p_a)
+        want = _scatter_by_color(M, W.W) / (M.b * M.k)
+        assert np.array_equal(J.cond_zs, want), M
+        assert np.array_equal(J.p_zsa, want * p_a[:, None, None]), M
+
+        src = random_source(M.v, nz, rng)
+        J, oracle = PAJoint(M, src), PAJointThreeArrays(M, src)
+        assert np.array_equal(J.cond_zs, oracle.cond_zs), M
+        assert np.array_equal(J.p_zsa, oracle.p_zsa), M
+        assert np.abs(J.cond_s_given_za - oracle.cond_s_given_za).max() <= 1e-12, M
+        got = exact_pa_metrics(J)["max_d2_seed"]
+        assert abs(got - oracle.max_d2_seed) <= 1e-12 * abs(oracle.max_d2_seed), M
+
+
+def _build_peak(build) -> int:
+    """Peak bytes traced while build() runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_joint_laws_build_one_array():
+    """Building either joint law of m4(9,8) with 72 output letters peaks below
+    1.5 times its (a, nz, b) array: the law is scattered once and scaled in
+    place, with only (v, b)-sized codes and weights beside it."""
+    M = build_m4(9, 8)
+    rng = np.random.default_rng(6)
+    src = random_source(M.v, M.v, rng)
+    W = random_channel(M.v, M.v, rng)
+    M.color_matrix()                   # cached mosaic state, not the law's
+    cells = M.a * M.v * M.b * 8
+    assert _build_peak(lambda: PAJoint(M, src)) < 1.5 * cells
+    assert _build_peak(lambda: WiretapJoint(M, W)) < 1.5 * cells

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import chi2 as chi2_dist
 
 from designmosaics.families import build_m1, build_m4
-from designmosaics.security import WiretapJoint, exact_wiretap_metrics
+from designmosaics.security import Channel, WiretapJoint, exact_wiretap_metrics
 from designmosaics.simkit import (
     SimConfig,
+    _draw_outputs,
+    _empirical_mi,
+    _miller_madow_entropy,
     channel_from_csv,
     chi_square_gof,
     constant_column_channel,
@@ -137,3 +143,122 @@ def test_trial_count_validation():
         wiretap_roundtrip(SimConfig(mosaic=M, trials=10, seed=1))
     with pytest.raises(ValueError, match="batch count"):     # empty batches
         wiretap_roundtrip(SimConfig(mosaic=M, trials=5, seed=1, channel=identity_channel(4)))
+
+
+# -- oracles: the comparison draw, the list-based chi-square and the dense-table
+#    batch mutual information that the copy-free statistics replaced ----------------
+
+def draw_outputs_oracle(W, xs, rng):
+    cum = np.cumsum(W, axis=1)
+    us = rng.random(len(xs))
+    return (us[:, None] > cum[xs]).sum(axis=1)
+
+
+def chi_square_gof_oracle(counts, probs, min_expected=5.0):
+    counts = np.asarray(counts, dtype=float).ravel()
+    probs = np.asarray(probs, dtype=float).ravel()
+    n = counts.sum()
+    if counts[probs <= 0].sum() > 0:
+        return math.inf, 0, 0.0
+    keep = probs > 0
+    counts, probs = counts[keep], probs[keep]
+    expected = probs * n
+    big = expected >= min_expected
+    obs = counts[big].tolist()
+    exp = expected[big].tolist()
+    if (~big).any():
+        obs.append(counts[~big].sum())
+        exp.append(expected[~big].sum())
+    obs = np.asarray(obs)
+    exp = np.asarray(exp)
+    pos = exp > 0
+    stat = float((np.square(obs[pos] - exp[pos]) / exp[pos]).sum())
+    df = max(int(pos.sum()) - 1, 1)
+    return stat, df, float(chi2_dist.sf(stat, df))
+
+
+def empirical_mi_table_oracle(rows, alphas, n_rows, a):
+    table = np.zeros((n_rows, a))
+    np.add.at(table, (rows, alphas), 1.0)
+    return (_miller_madow_entropy(table.sum(axis=0)) + _miller_madow_entropy(table.sum(axis=1))
+            - _miller_madow_entropy(table))
+
+
+def _random_channel_with_zero_columns(rng, v, nz):
+    W = rng.dirichlet(np.ones(nz), size=v)
+    W[:, rng.random(nz) < 0.3] = 0.0          # whole zero columns, the last one too
+    W[rng.random((v, nz)) < 0.2] = 0.0        # and scattered zeros
+    W[:, -1] = 0.0
+    W[W.sum(axis=1) == 0, 0] = 1.0
+    return Channel(W / W.sum(axis=1, keepdims=True)).W
+
+
+def test_draw_outputs_matches_comparison_oracle():
+    rng = np.random.default_rng(77)
+    for nz in (1, 2, 3, 7, 8, 9, 64, 72):
+        W = _random_channel_with_zero_columns(rng, 11, nz)
+        xs = rng.integers(0, 11, size=3000)
+        seed = int(rng.integers(2 ** 31))
+        got = _draw_outputs(W, xs, np.random.default_rng(seed))
+        assert np.array_equal(got, draw_outputs_oracle(W, xs, np.random.default_rng(seed))), nz
+        assert (W[xs, got] > 0).all(), nz
+
+
+class _FixedRng:
+    """A generator stub whose uniforms are all u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        return np.full(n, self.u)
+
+
+def test_draw_outputs_clamps_beyond_the_row_total():
+    # rows summing to 1 - 5e-13 pass the channel check; a uniform above the row
+    # total must still land on a letter the row can emit
+    W = Channel(np.array([[0.5, 0.5 - 5e-13]] * 3)).W
+    assert _draw_outputs(W, np.arange(3), _FixedRng(1 - 1e-13)).tolist() == [1, 1, 1]
+    W = Channel(np.array([[0.5, 0.5 - 5e-13, 0.0],
+                          [0.25, 0.0, 0.75 - 5e-13],
+                          [1.0 - 5e-13, 0.0, 0.0]])).W
+    xs = np.array([0, 1, 2, 0])
+    assert _draw_outputs(W, xs, _FixedRng(1 - 1e-13)).tolist() == [1, 2, 0, 1]
+    for u in (0.0, 0.25, 0.5, 0.6, 1 - 6e-13):      # in range: unchanged
+        assert np.array_equal(_draw_outputs(W, xs, _FixedRng(u)),
+                              draw_outputs_oracle(W, xs, _FixedRng(u))), u
+
+
+def test_chi_square_gof_matches_list_oracle():
+    rng = np.random.default_rng(78)
+    cases = [(np.array([10, 10]), np.array([1.0, 0.0])),
+             (np.array([0, 10]), np.array([0.0, 1.0])),
+             (np.array([3, 4, 5]), np.array([0.2, 0.3, 0.5])),      # every cell pooled
+             (np.array([5.0, 2.5, 7.5]), np.array([0.25, 0.25, 0.5]))]
+    for _ in range(200):
+        size = int(rng.integers(1, 400))
+        probs = rng.dirichlet(np.full(size, float(rng.choice([0.05, 0.5, 5.0]))))
+        probs[rng.random(size) < 0.1] = 0.0
+        if probs.sum() == 0:
+            probs[0] = 1.0
+        probs /= probs.sum()
+        counts = rng.multinomial(int(rng.integers(0, 5000)), probs)
+        if rng.random() < 0.1:                 # an observation the law rules out
+            counts[int(rng.integers(size))] += 1
+        cases.append((counts, probs))
+    for counts, probs in cases:
+        for min_expected in (5.0, 1.0):
+            got = chi_square_gof(counts, probs, min_expected)
+            want = chi_square_gof_oracle(counts, probs, min_expected)
+            assert got == want, (got, want)
+
+
+def test_batch_mi_matches_dense_table_oracle():
+    rng = np.random.default_rng(79)
+    for _ in range(100):
+        n_rows, a = int(rng.integers(1, 300)), int(rng.integers(1, 9))
+        n = int(rng.integers(1, 3000))
+        rows = rng.integers(0, n_rows, size=n) // int(rng.integers(1, 4))
+        alphas = rng.integers(0, a, size=n)
+        got = _empirical_mi(rows * a + alphas, a)
+        assert got == empirical_mi_table_oracle(rows, alphas, n_rows, a)
