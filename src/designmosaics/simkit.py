@@ -151,7 +151,6 @@ def _empirical_mi(cells, a: int) -> float:
     codes rest * a + alpha of the observations.  np.unique lists the nonzero
     cells of the (rest, a) contingency table, and of its row marginal, in
     row-major order, without the table."""
-    cells = np.asarray(cells)
     return (_miller_madow_entropy(np.bincount(cells % a, minlength=a))
             + _miller_madow_entropy(np.unique(cells // a, return_counts=True)[1])
             - _miller_madow_entropy(np.unique(cells, return_counts=True)[1]))
@@ -205,7 +204,6 @@ def _draw_outputs(W, xs, rng):
     u, by a binary search of each trial's cumulative row (nondecreasing, as W
     is nonnegative) in O(trials) memory.  A u beyond the row's total, possible
     when a row sums to 1 - tol, is clamped to the last z with w(z|x) > 0."""
-    W = np.asarray(W)
     nz = W.shape[1]
     cum = np.cumsum(W, axis=1)
     last = nz - 1 - np.argmax(W[:, ::-1] > 0, axis=1)
