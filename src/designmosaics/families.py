@@ -204,9 +204,6 @@ class DennistonGeometry:
                              gf.mul(self.eta2, gf.mul(x, y))),
                       gf.mul(self.eta3, gf.mul(y, y)))
 
-    def in_H(self, z: int) -> bool:
-        return z < self.k
-
     def e_coeff(self, c: int) -> int:
         """eta1 + eta2 c + eta3 c^2, with the vertical convention e_inf = eta3."""
         if c == self.q:

@@ -177,11 +177,6 @@ class Mosaic:
             self._colors = F
         return self._colors
 
-    def member_matrices(self) -> np.ndarray:
-        """The (a, v, b) stack of member incidence matrices, built from F."""
-        F = self.color_matrix()
-        return (F[None, :, :] == np.arange(self.a)[:, None, None]).astype(np.uint8)
-
     def member(self, alpha) -> IncidenceStructure:
         return IncidenceStructure((self.color_matrix() == alpha).astype(np.uint8))
 

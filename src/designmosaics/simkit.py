@@ -5,11 +5,13 @@ Monte Carlo pipelines here are calibration checks: decode correctness, key
 agreement, and chi-square goodness of fit of the empirical histograms against
 the exact distributions.
 
-The statistics copy no more than they must: the chi-square probabilities are
-one (z, s, alpha) copy of the joint law's single P_{ZS|A} stack, scaled in
-place; channel draws search each trial's cumulative row instead of comparing
-against it; batch mutual information counts the observed cell codes instead
-of filling a dense contingency table.
+The statistics hold no (z, s, alpha) array beside the joint law's single
+P_{ZS|A} stack: the joint chi-square reads that stack one color at a time,
+keeps only the cells whose expected count reaches the pooling threshold and
+the mass of the rest, and counts the observed cell codes with ``np.unique``;
+channel draws search each trial's cumulative row instead of comparing against
+it; batch mutual information counts the observed cell codes instead of
+filling a dense contingency table.
 """
 
 from __future__ import annotations
@@ -137,6 +139,42 @@ def chi_square_gof(counts, probs, min_expected: float = 5.0):
     return stat, df, float(chi2_dist.sf(stat, df))
 
 
+def _joint_chi_square(law, a: int, cells, min_expected: float = 5.0):
+    """chi_square_gof of the trials' cell codes ``(z*b + s)*a + alpha`` against
+    P_{ZSA}(z, s, alpha) = law(alpha)[z, s], with no (z, s, alpha) array.
+
+    One pass over the colors collects the cells whose expected count reaches
+    ``min_expected``, in code order, and the mass of the other positive
+    cells, which form the pooled bin, the last one, when that mass is
+    positive; the observed counts come from ``np.unique`` of the codes.  The
+    statistic is the dense histogram's up to the order in which the pooled
+    mass is summed.  An observation in a cell of probability zero gives
+    (inf, 0, 0.0).
+    """
+    n = len(cells)
+    seen, freq = np.unique(cells, return_counts=True)
+    seen_zs, seen_al = np.divmod(seen, a)
+    codes, probs = [], []
+    rare_mass = 0.0
+    for al in range(a):
+        p = law(al).ravel()
+        if (p[seen_zs[seen_al == al]] <= 0).any():
+            return math.inf, 0, 0.0
+        big = p * n >= min_expected
+        codes.append(np.flatnonzero(big) * a + al)
+        probs.append(p[big])
+        rare_mass += float(p[(p > 0) & ~big].sum())
+    codes = np.concatenate(codes)
+    order = np.argsort(codes)
+    codes, probs = codes[order], np.concatenate(probs)[order]
+    at = np.minimum(np.searchsorted(seen, codes), len(seen) - 1)
+    counts = np.where(seen[at] == codes, freq[at], 0)
+    if rare_mass > 0:
+        counts = np.append(counts, n - counts.sum())
+        probs = np.append(probs, rare_mass)
+    return chi_square_gof(counts, probs, min_expected)
+
+
 def _miller_madow_entropy(counts) -> float:
     """Plug-in Shannon entropy (bits) with the Miller-Madow bias correction."""
     counts = np.asarray(counts, dtype=float)
@@ -179,7 +217,7 @@ class SimResult:
     trials: int
     decode_errors: int
     agreement: float
-    counts: np.ndarray
+    cells: np.ndarray           # per-trial (z, s, alpha) codes (z*b + s)*a + alpha
     pvalues: dict
     empirical: dict
     exact: dict
@@ -223,8 +261,9 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
     """Seed, message, randomized inverse, channel draw; Bob decodes via f,
     read from the color matrix the exact joint law materializes anyway.
 
-    The empirical (z, s, alpha) histogram is tested against the exact wiretap
-    joint; the mutual-information estimate comes with a batch standard error.
+    The trials' (z, s, alpha) cells are chi-square tested against the exact
+    wiretap joint, read one color at a time from its P_{ZS|A} stack; the
+    mutual-information estimate comes with a batch standard error.
     """
     if cfg.channel is None:
         raise ValueError("wiretap simulation needs a channel")
@@ -245,13 +284,9 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
     zs = _draw_outputs(cfg.channel.W, xs, rng)
 
     joint = WiretapJoint(M, cfg.channel, p_a)
-    nz = cfg.channel.nz
-    probs = np.moveaxis(joint.cond_zs, 0, -1).copy()     # (z, s, alpha) cells
-    probs *= joint.p_a                                    # P_{ZSA}
     cells = (zs * M.b + seeds) * M.a + alphas
-    counts = np.bincount(cells, minlength=nz * M.b * M.a)
-    stat, df, pval = chi_square_gof(counts, probs)
-    del probs
+    stat, df, pval = _joint_chi_square(lambda al: joint.cond_zs[al] * joint.p_a[al],
+                                       M.a, cells)
 
     exact = exact_wiretap_metrics(joint)
     per_batch = n // cfg.batches
@@ -264,7 +299,7 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
     return SimResult(
         scenario="wiretap", seed=cfg.seed, trials=n,
         decode_errors=decode_errors, agreement=1.0 - decode_errors / n,
-        counts=counts,
+        cells=cells,
         pvalues={"joint_zsa": pval, "statistic": stat, "df": df},
         empirical={"mi_batch_mean": mi_mean, "mi_batch_se": mi_se},
         exact={"mutual_information": exact["mutual_information"], "tv": exact["tv"]},
@@ -273,7 +308,8 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
 
 def pa_roundtrip(cfg: SimConfig) -> SimResult:
     """Shared-source draw, uniform seed, both parties hash; the key must be
-    uniform and the eavesdropper histogram must match the exact law.
+    uniform and the trials' (z, s, key) cells must match the exact law, read
+    one key at a time from its P_{ZS|A} stack.
 
     Both parties hash the same x with the same seed, so ``agreement`` is 1 by
     construction; it is reported for the output format's sake.
@@ -295,12 +331,9 @@ def pa_roundtrip(cfg: SimConfig) -> SimResult:
     joint = PAJoint(M, src)
     key_counts = np.bincount(keys, minlength=M.a)
     _, _, p_key = chi_square_gof(key_counts, np.full(M.a, 1.0 / M.a))
-    probs = np.moveaxis(joint.cond_zs, 0, -1).copy()
-    probs /= M.a                                          # P_{ZSA}, uniform key
     cells = (zs * M.b + seeds) * M.a + keys
-    counts = np.bincount(cells, minlength=nz * M.b * M.a)
-    stat, df, p_joint = chi_square_gof(counts, probs)
-    del probs
+    stat, df, p_joint = _joint_chi_square(lambda al: joint.cond_zs[al] / M.a,  # uniform key
+                                          M.a, cells)
 
     # empirical worst-key TV against the product reference
     ref = np.broadcast_to(joint.p_z[:, None] / M.b, (nz, M.b)).ravel()
@@ -317,7 +350,7 @@ def pa_roundtrip(cfg: SimConfig) -> SimResult:
     return SimResult(
         scenario="privacy-amplification", seed=cfg.seed, trials=n,
         decode_errors=0, agreement=1.0,
-        counts=counts,
+        cells=cells,
         pvalues={"key_uniformity": p_key, "joint_zsa": p_joint, "statistic": stat, "df": df},
         empirical={"max_tv": emp_tv},
         exact={"max_tv": exact["max_tv"], "max_kl": exact["max_kl"],

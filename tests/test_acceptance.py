@@ -37,6 +37,12 @@ M3_GRID = [(t, l, u) for (t, l) in M2_GRID for u in (1, 2, 3)]
 M4_GRID = [(k, q) for q in (2, 3, 4, 5) for k in range(2, q + 2)]
 
 
+def member_matrices(M):
+    """The (a, v, b) stack of member incidence matrices, built from F."""
+    F = M.color_matrix()
+    return (F[None, :, :] == np.arange(M.a)[:, None, None]).astype(np.uint8)
+
+
 def _grid_mosaics():
     out = []
     for t, q in M1_GRID:
@@ -269,7 +275,7 @@ def test_color_matrix_paths_match_member_stack_oracle():
     g walks the points of its input stack in ascending order."""
     rng = np.random.default_rng(2102)
     for M in _grid_mosaics():
-        N = M.member_matrices().astype(float)
+        N = member_matrices(M).astype(float)
         channel = dm.random_channel(M.v, 3, rng)
         want = np.einsum("xz,axs->azs", channel.W, N) / (M.b * M.k)
         assert np.abs(dm.WiretapJoint(M, channel).cond_zs - want).max() <= 1e-12, M

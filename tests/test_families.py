@@ -24,6 +24,7 @@ from designmosaics.mosaics import (
     verify_functional_form,
     verify_mosaic,
 )
+from test_acceptance import member_matrices
 
 
 # -- M1 ------------------------------------------------------------------------
@@ -325,7 +326,7 @@ def test_m4_members_verify_all_k(q):
             res = verify_gdd(M.member(alpha), M.point_classes, 0, 1)
             assert res and classify_gdd(res) == "semi-regular"
         # members pairwise disjoint in incidence
-        stack = M.member_matrices()
+        stack = member_matrices(M)
         assert (stack.sum(axis=0) == 1).all()
         # block rate optimal: b = a^2
         assert M.b == M.a ** 2

@@ -50,19 +50,19 @@ from designmosaics.simkit import (
     random_channel,
     random_source,
 )
-from test_acceptance import _grid_mosaics
+from test_acceptance import _grid_mosaics, member_matrices
 
 
 def wiretap_tensor(J):
     """The full P_{ZXSA} array of a WiretapJoint, axes (z, x, s, alpha)."""
-    N = J.mosaic.member_matrices().astype(float)
+    N = member_matrices(J.mosaic).astype(float)
     t = np.einsum("xz,axs,a->zxsa", J.channel.W, N, J.p_a)
     return t / (J.mosaic.b * J.mosaic.k)
 
 
 def pa_tensor(J):
     """The full P_{XZSA} array of a PAJoint, axes (x, z, s, alpha)."""
-    N = J.mosaic.member_matrices().astype(float)
+    N = member_matrices(J.mosaic).astype(float)
     return np.einsum("xz,axs->xzsa", J.joint.P, N) / J.mosaic.b
 
 
@@ -207,7 +207,7 @@ def test_pa_joint_seed_conditional_formula():
     rng = np.random.default_rng(5)
     src = random_source(M.v, 4, rng)
     J = PAJoint(M, src)
-    N = M.member_matrices().astype(float)
+    N = member_matrices(M).astype(float)
     r = M.b * M.k // M.v
     for alpha in range(M.a):
         for z in range(src.nz):

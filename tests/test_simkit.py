@@ -5,11 +5,12 @@ import pytest
 from scipy.stats import chi2 as chi2_dist
 
 from designmosaics.families import build_m1, build_m4
-from designmosaics.security import Channel, WiretapJoint, exact_wiretap_metrics
+from designmosaics.security import Channel, PAJoint, WiretapJoint, exact_wiretap_metrics
 from designmosaics.simkit import (
     SimConfig,
     _draw_outputs,
     _empirical_mi,
+    _joint_chi_square,
     _miller_madow_entropy,
     channel_from_csv,
     chi_square_gof,
@@ -18,10 +19,13 @@ from designmosaics.simkit import (
     independent_source,
     make_channel,
     pa_roundtrip,
+    random_channel,
     random_source,
     symmetric_channel,
     wiretap_roundtrip,
 )
+from test_acceptance import _grid_mosaics
+from test_security import _build_peak
 
 
 def test_channel_constructors():
@@ -87,7 +91,7 @@ def test_wiretap_roundtrip_point_mass_message():
     res = wiretap_roundtrip(cfg)
     assert res.decode_errors == 0
     # empirical conditional matches the member law
-    counts = res.counts.reshape(M.v, M.b, M.a)
+    counts = np.bincount(res.cells, minlength=M.v * M.b * M.a).reshape(M.v, M.b, M.a)
     assert counts[:, :, 0].sum() == 0
     J = WiretapJoint(M, identity_channel(M.v), p_a)
     _, _, p = chi_square_gof(counts[:, :, 1].ravel(), J.cond_zs[1].ravel())
@@ -118,7 +122,7 @@ def test_reproducibility_bit_identical():
     cfg = SimConfig(mosaic=M, trials=5000, seed=99, channel=symmetric_channel(M.v, 0.2))
     r1 = wiretap_roundtrip(cfg)
     r2 = wiretap_roundtrip(cfg)
-    assert np.array_equal(r1.counts, r2.counts)
+    assert np.array_equal(r1.cells, r2.cells)
     assert r1.to_json() == r2.to_json()
 
 
@@ -262,3 +266,154 @@ def test_batch_mi_matches_dense_table_oracle():
         alphas = rng.integers(0, a, size=n)
         got = _empirical_mi(rows * a + alphas, a)
         assert got == empirical_mi_table_oracle(rows, alphas, n_rows, a)
+
+
+# -- oracle: the dense joint chi-square that the per-color pass replaced ----------
+
+def joint_chi_square_dense_oracle(cond, scale, cells, min_expected=5.0):
+    """A (z, s, alpha) copy of the P_{ZS|A} stack scaled in place by ``scale``,
+    the full bincount histogram of the cell codes, and chi_square_gof."""
+    probs = np.moveaxis(cond, 0, -1).copy()
+    scale(probs)
+    counts = np.bincount(cells, minlength=probs.size)
+    return chi_square_gof(counts, probs, min_expected)
+
+
+def _assert_matches_dense(got, want):
+    if want[0] == math.inf:
+        assert got == want == (math.inf, 0, 0.0), (got, want)
+        return
+    assert got[1] == want[1], (got, want)
+    assert abs(got[0] - want[0]) <= 1e-9, (got, want)
+    assert abs(got[2] - want[2]) <= 1e-12, (got, want)
+
+
+def _wiretap_forms(cond, p_a, cells, min_expected):
+    """(per-color pass, dense oracle) with the law scaled by P_A, as the
+    wiretap roundtrip scales it."""
+    def scale(probs):
+        probs *= p_a
+
+    return (_joint_chi_square(lambda al: cond[al] * p_a[al], len(cond), cells, min_expected),
+            joint_chi_square_dense_oracle(cond, scale, cells, min_expected))
+
+
+def _pa_forms(cond, cells, min_expected):
+    """(per-color pass, dense oracle) with the law divided by a, as the PA
+    roundtrip divides it."""
+    a = len(cond)
+
+    def scale(probs):
+        probs /= a
+
+    return (_joint_chi_square(lambda al: cond[al] / a, a, cells, min_expected),
+            joint_chi_square_dense_oracle(cond, scale, cells, min_expected))
+
+
+def _verdict(res):
+    return res.pvalues["statistic"], res.pvalues["df"], res.pvalues["joint_zsa"]
+
+
+def test_roundtrip_joint_chi_square_matches_dense_oracle():
+    """On the acceptance grid the roundtrips' joint verdicts equal the dense
+    path's on their own cells, under uniform, Dirichlet and point-mass P_A and
+    channels with zero columns; min_expected 1 is checked on the same cells."""
+    rng = np.random.default_rng(80)
+    for M in _grid_mosaics():
+        nz = int(rng.integers(2, 9))
+        W = Channel(_random_channel_with_zero_columns(rng, M.v, nz))
+        point = np.zeros(M.a)
+        point[int(rng.integers(M.a))] = 1.0
+        for p_a in (np.full(M.a, 1.0 / M.a), rng.dirichlet(np.ones(M.a)), point):
+            for trials in (200, 5000):
+                res = wiretap_roundtrip(SimConfig(mosaic=M, trials=trials, channel=W, p_a=p_a,
+                                                  seed=int(rng.integers(2 ** 31))))
+                cond = WiretapJoint(M, W, p_a).cond_zs
+                for min_expected in (5.0, 1.0):
+                    got, want = _wiretap_forms(cond, p_a, res.cells, min_expected)
+                    _assert_matches_dense(got, want)
+                    if min_expected == 5.0:
+                        assert got == _verdict(res), M
+        src = random_source(M.v, nz, rng)
+        res = pa_roundtrip(SimConfig(mosaic=M, trials=3000, source=src,
+                                     seed=int(rng.integers(2 ** 31))))
+        cond = PAJoint(M, src).cond_zs
+        for min_expected in (5.0, 1.0):
+            got, want = _pa_forms(cond, res.cells, min_expected)
+            _assert_matches_dense(got, want)
+            if min_expected == 5.0:
+                assert got == _verdict(res), M
+
+
+def test_joint_chi_square_matches_dense_oracle_on_random_laws():
+    """Random P_{ZS|A} stacks with zero rows and columns, cells drawn from the
+    law (sometimes with one the law rules out), every cell pooled, none pooled
+    and a mix, at min_expected 5 and 1."""
+    rng = np.random.default_rng(81)
+    seen = set()
+    for case in range(300):
+        a, nz, b = (int(x) for x in rng.integers(1, [7, 9, 12]))
+        cond = rng.dirichlet(np.full(nz * b, float(rng.choice([0.05, 0.5, 5.0]))), size=a)
+        cond = cond.reshape(a, nz, b)
+        cond[:, rng.random(nz) < 0.3, :] = 0.0            # outputs no color produces
+        cond[:, :, rng.random(b) < 0.2] = 0.0             # seeds no color reaches
+        cond[rng.random(cond.shape) < 0.2] = 0.0
+        for al in range(a):
+            if cond[al].sum() == 0:
+                cond[al, 0, 0] = 1.0
+            cond[al] /= cond[al].sum()
+        if case % 3 == 0:
+            p_a = np.full(a, 1.0 / a)
+        elif case % 3 == 1:
+            p_a = rng.dirichlet(np.ones(a))
+        else:
+            p_a = np.zeros(a)
+            p_a[int(rng.integers(a))] = 1.0
+        law = (np.moveaxis(cond, 0, -1) * p_a).ravel()
+        n = int(rng.choice([1, 20, 500, 20000, 200000]))
+        cells = rng.choice(law.size, size=n, p=law / law.sum())
+        if rng.random() < 0.1:
+            cells[int(rng.integers(n))] = int(rng.integers(law.size))
+        for min_expected in (5.0, 1.0):
+            big = law[law > 0] * n >= min_expected
+            seen.add("none pooled" if big.all() else "all pooled" if not big.any() else "mixed")
+            _assert_matches_dense(*_wiretap_forms(cond, p_a, cells, min_expected))
+            _assert_matches_dense(*_pa_forms(cond, cells, min_expected))
+    assert seen == {"none pooled", "all pooled", "mixed"}
+
+
+def test_joint_chi_square_pooling_extremes():
+    rng = np.random.default_rng(82)
+    # two positive cells: 20000 trials keep both, 4 trials pool both into one bin
+    cond = np.array([[[0.25, 0.0], [0.0, 0.75]]])
+    for n in (20000, 4):
+        cells = rng.choice(4, size=n, p=cond.ravel())
+        got, want = _wiretap_forms(cond, np.ones(1), cells, 5.0)
+        _assert_matches_dense(got, want)
+        assert got[1] == 1
+    # three kept cells and a pooled pair: four bins
+    cond = np.array([[[0.3, 0.3, 0.3, 0.05, 0.05]]])
+    cells = rng.choice(5, size=60, p=cond.ravel())
+    got, want = _wiretap_forms(cond, np.ones(1), cells, 5.0)
+    _assert_matches_dense(got, want)
+    assert got[1] == 3
+    # an observation in a cell of probability zero
+    cond = np.array([[[0.5, 0.5, 0.0]]])
+    got, want = _wiretap_forms(cond, np.ones(1), np.array([0, 2]), 5.0)
+    assert got == want == (math.inf, 0, 0.0)
+
+
+def test_roundtrips_hold_no_dense_cell_array():
+    """On m4(9,8) with 72 output letters and 2000 trials, either roundtrip
+    peaks at most 2.5 times the (a, nz, b) law: no (z, s, alpha) copy of the
+    law and no dense histogram beside it."""
+    M = build_m4(9, 8)
+    rng = np.random.default_rng(6)
+    src = random_source(M.v, M.v, rng)
+    W = random_channel(M.v, M.v, rng)
+    M.color_matrix()                   # cached mosaic state, not the roundtrip's
+    law = M.a * M.v * M.b * 8
+    assert _build_peak(lambda: wiretap_roundtrip(
+        SimConfig(mosaic=M, trials=2000, seed=3, channel=W))) <= 2.5 * law
+    assert _build_peak(lambda: pa_roundtrip(
+        SimConfig(mosaic=M, trials=2000, seed=3, source=src))) <= 2.5 * law
