@@ -3,11 +3,18 @@ identities, hash properties and simulation, with JSON output throughout.
 
 Exit codes: 0 success, 1 property-check failure (with a witness in the JSON),
 2 parameter/validation errors, unreadable files included.
+
+``main`` builds its argument parser on its first call and reuses it for every
+later call in the same process; each call parses into a fresh namespace.
+The commands build F through ``Mosaic.color_matrix``: one gather over the
+class and color tables for the families M1, M2, M3 and M4 without the vertical
+slope, and a per-cell fill of f for loaded member files and M4 with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -335,6 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def _check_numeric_flags(args):
     """Reject numeric flags outside their domain; the parser checks only types."""
     if not (np.isfinite(args.tol) and args.tol >= 0):
@@ -346,8 +358,7 @@ def _check_numeric_flags(args):
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_numeric_flags(args)
         return args.fn(args)

@@ -74,6 +74,15 @@ def _m1_slopes(t: int, q: int):
     return slopes
 
 
+def _field_tables(gf):
+    """The (q, q) addition and multiplication tables of gf, from its scalar
+    ops; they serve odd q too, where ``FieldArrays`` does not."""
+    q = gf.order
+    add = np.array([[gf.add(x, y) for y in range(q)] for x in range(q)])
+    mul = np.array([[gf.mul(x, y) for y in range(q)] for x in range(q)])
+    return add, mul
+
+
 def _vector_digits(x: int, q: int, t: int):
     out = []
     for _ in range(t):
@@ -123,11 +132,21 @@ def build_m1(t: int, q: int) -> Mosaic:
             x = x * q + coords[j]
         return x
 
+    def form():
+        # G[x, i] = h_i . x over GF(q); L[beta, gamma] = gamma + beta
+        add, mul = _field_tables(gf)
+        coords = np.arange(spec.v)[:, None] // q ** np.arange(t) % q
+        H = np.array(slopes)
+        G = np.zeros((spec.v, spec.r), dtype=np.int64)
+        for j in range(t):
+            G = add[G, mul[coords[:, j, None], H[None, :, j]]]
+        return G, add
+
     return Mosaic(spec.v, spec.b, spec.a, f, g, k=spec.k,
                   member_kind="bibd",
                   member_params=BIBDParams(v=spec.v, k=spec.k, lam=spec.lam,
                                            r=spec.r, b=spec.b),
-                  meta={"family": "m1", "t": t, "q": q})
+                  meta={"family": "m1", "t": t, "q": q}, form=form)
 
 
 def ag_design(t: int, q: int):
@@ -280,6 +299,39 @@ class DennistonGeometry:
         if wz % self.k == 0:
             raise ValueError(f"intercept {d} is not in U_{c}")
         return wz - wz // self.k
+
+    def block_ranks(self) -> np.ndarray:
+        """The (v, q + 1) int64 table G[m, c] = phi_uc_inv(c, intercept_of(
+        phi_x(m), c)): the rank j of the block of class c through point m.
+
+        The scalar chain element-wise over ``FieldArrays``.  It reads none of
+        the class tables that g reads, so :func:`verify_functional_form` still
+        checks f against g independently.
+        """
+        gf = self.gf
+        F = gf.arrays()
+        q, k, v = self.q, self.k, self.v
+        e = np.array([self.e_coeff(c) for c in range(q + 1)])
+        # phi_x: point m >= 1 has slope c and h = e_c x^2, m = 1 + c (k - 1) + h - 1
+        c, h = np.divmod(np.arange(v - 1), k - 1)
+        x = F.sqrt(F.div(h + 1, e[c]))
+        vertical = c == q
+        px = np.zeros(v, dtype=np.int64)
+        py = np.zeros(v, dtype=np.int64)
+        px[1:] = np.where(vertical, 0, x)
+        py[1:] = np.where(vertical, x, F.mul(np.where(vertical, 0, c), x))
+        # intercept_of: d = y + c x on the line of slope c, d = x for the vertical
+        d = np.empty((v, q + 1), dtype=np.int64)
+        d[:, :q] = py[:, None] ^ F.mul(np.arange(q)[None, :], px[:, None])
+        d[:, q] = px
+        # phi_uc_inv: the intercept 0 has rank 0; else w = (e_c / eta2^2) / d^2
+        nonzero = d != 0
+        d = np.where(nonzero, d, 1)
+        w = F.mul(F.div(e, gf.mul(self.eta2, self.eta2))[None, :], F.inv(F.mul(d, d)))
+        wz = F.dual_coords(w)
+        if (wz[nonzero] % k == 0).any():
+            raise AssertionError("a point lies on a line whose intercept is outside U_c")
+        return np.where(nonzero, wz - wz // k, 0)
 
     # -- block enumeration: the scalar path, oracle of the class tables -----------
 
@@ -483,11 +535,14 @@ def build_m2(t: int, l: int) -> Mosaic:
         i, beta = divmod(s, a)
         return int(geom.class_table(i)[(alpha - beta) % a, kappa])
 
+    def form():
+        return geom.block_ranks(), np.add.outer(np.arange(a), np.arange(a)) % a
+
     mosaic = Mosaic(geom.v, geom.b, a, f, g, k=geom.k,
                     member_kind="bibd",
                     member_params=BIBDParams(v=geom.v, k=geom.k, lam=1,
                                              r=geom.r, b=geom.b),
-                    meta={"family": "m2", "t": t, "l": l})
+                    meta={"family": "m2", "t": t, "l": l}, form=form)
     mosaic.geometry = geom
     return mosaic
 
@@ -570,12 +625,22 @@ def build_m4(k: int, q: int, slopes=None) -> Mosaic:
             d = gf.sub(gf.add(alpha, s2), gf.mul(c, s1))
         return kappa * q + d
 
+    def form():
+        # class s1, shift beta = s2: G[(c, d), s1] = c s1 + d, L[beta, gamma] = gamma - beta
+        add, mul = _field_tables(gf)
+        c = np.repeat(R, q)[:, None]
+        d = np.tile(np.arange(q), k)[:, None]
+        L = np.array([[gf.sub(gamma, beta) for gamma in range(q)] for beta in range(q)])
+        return add[mul[c, np.arange(q)[None, :]], d], L
+
     partition = tuple(tuple(range(ci * q, (ci + 1) * q)) for ci in range(k))
     gdd = GDDParams(u=q, m=k, k=k, lambda1=0, lambda2=1,
                     v=spec.v, r=q, b=spec.b, partition=partition)
+    # on a vertical line f = s1 - d does not depend on s2, so no L fits
     return Mosaic(spec.v, spec.b, q, f, g, k=k, member_kind="gdd",
                   member_params=gdd, point_classes=partition,
-                  meta={"family": "m4", "k": k, "q": q, "slopes": list(R)})
+                  meta={"family": "m4", "k": k, "q": q, "slopes": list(R)},
+                  form=None if q in R else form)
 
 
 def td_design(k: int, q: int, slopes=None):

@@ -7,6 +7,16 @@ incident; the preimage enumerator g(s, alpha, kappa) walks the k points of
 f_s^{-1}(alpha) bijectively.  Mosaics are kept lazily as (f, g) pairs; the one
 dense form a mosaic ever materializes is its color matrix F[x, s] = f(x, s),
 from which members, preimages and joint laws are derived on demand.
+
+A mosaic built from a resolvable design and a quasigroup on the colors has
+the resolvable form f(x, (i, beta)) = L(beta, gamma_i(x)), with the seed
+s = i a + beta.  Such a mosaic may carry a ``form``: a callable returning its
+(v, b/a) class table G[x, i] = gamma_i(x) and its (a, a) color table
+L[beta, gamma].  Its color matrix is then one gather over (G, L): so for
+``construct_from_resolvable``, ``point_multiple`` of such a mosaic, and the
+families M1, M2, M3 and M4 without the vertical slope.  Mosaics without the
+form (``from_members``, ``dual_mosaic``, hand-made functional forms, M4 with
+the vertical slope) fill F by calling f once per cell.
 """
 
 from __future__ import annotations
@@ -128,11 +138,14 @@ class Mosaic:
 
     ``member_kind`` ('bibd' or 'gdd') and ``member_params`` describe the common
     parameters of all members when known; ``point_classes`` carries the shared
-    point class partition of GDD members.
+    point class partition of GDD members.  ``form``, when given, is a
+    zero-argument callable returning the class table G and the color table L
+    of the resolvable form f(x, i a + beta) = L[beta, G[x, i]]; it is called
+    once, by the first :meth:`color_matrix`.
     """
 
     def __init__(self, v, b, a, f, g=None, k=None, member_kind=None,
-                 member_params=None, point_classes=None, meta=None):
+                 member_params=None, point_classes=None, meta=None, form=None):
         self.v = v
         self.b = b
         self.a = a
@@ -143,6 +156,7 @@ class Mosaic:
         self.member_params = member_params
         self.point_classes = point_classes
         self.meta = dict(meta or {})
+        self._form = form
         self._colors = None
         self._stack = None    # from_members' input stack, for verify_mosaic
 
@@ -168,12 +182,20 @@ class Mosaic:
     # -- materialization --------------------------------------------------------
 
     def color_matrix(self) -> np.ndarray:
+        """The (v, b) int32 matrix F[x, s] = f(x, s), built on first use and
+        cached.  With the resolvable form, column i a + beta of F is
+        L[beta, G[:, i]], so F is one gather L.T[G]; without it, F is filled
+        by calling f once per cell."""
         if self._colors is None:
-            F = np.empty((self.v, self.b), dtype=np.int32)
-            f = self._f
-            for x in range(self.v):
-                for s in range(self.b):
-                    F[x, s] = f(x, s)
+            if self._form is not None:
+                G, L = self._form()
+                F = np.ascontiguousarray(L.T, dtype=np.int32)[G].reshape(self.v, self.b)
+            else:
+                F = np.empty((self.v, self.b), dtype=np.int32)
+                f = self._f
+                for x in range(self.v):
+                    for s in range(self.b):
+                        F[x, s] = f(x, s)
             self._colors = F
         return self._colors
 
@@ -301,8 +323,13 @@ def construct_from_resolvable(D: IncidenceStructure, resolution: Resolution, L: 
         gamma = L.solve_right(beta, alpha)
         return int(block_pts[i][gamma][kappa])
 
+    def form():
+        table = [[L.value(beta, gamma) for gamma in range(a)] for beta in range(a)]
+        return gamma_of, np.array(table)
+
     return Mosaic(D.v, r * a, a, f, g, k=tact.k, member_kind=member_kind,
-                  member_params=member_params, point_classes=point_classes, meta=meta)
+                  member_params=member_params, point_classes=point_classes, meta=meta,
+                  form=form)
 
 
 def dual_mosaic(M: Mosaic, member_kind=None, member_params=None,
@@ -351,9 +378,17 @@ def point_multiple(M: Mosaic, u: int) -> Mosaic:
         base, i = divmod(kappa, u)
         return M.g(s, alpha, base) * u + i
 
+    form = None
+    if M._form is not None:
+        def form():
+            # point x is a copy of M's point x // u, on the same blocks; M's F
+            # is not built
+            G, L = M._form()
+            return np.repeat(G, u, axis=0), L
+
     return Mosaic(u * M.v, M.b, M.a, f, g, k=u * M.k, member_kind="gdd",
                   member_params=gdd, point_classes=classes,
-                  meta={**M.meta, "point_multiple": u})
+                  meta={**M.meta, "point_multiple": u}, form=form)
 
 
 def sample_inverse(M: Mosaic, s: int, alpha: int, rng) -> int:
