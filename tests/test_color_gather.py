@@ -7,7 +7,6 @@ int32 integer equality.
 """
 
 import numpy as np
-import pytest
 
 from designmosaics.families import (
     ag_design,
@@ -131,11 +130,3 @@ def test_codec_round_trips_build_neither_class_table_nor_color_matrix():
         assert M.f(sample_inverse(M, s, alpha, rng), s) == alpha
     assert M._colors is None
 
-
-@pytest.mark.parametrize("build", [lambda: build_m1(2, 3), lambda: build_m4(3, 4)])
-def test_class_table_and_color_table_shapes(build):
-    M = build()
-    G, L = M._form()
-    assert G.shape == (M.v, M.b // M.a) and L.shape == (M.a, M.a)
-    assert ((0 <= G) & (G < M.a)).all()
-    assert (np.sort(L, axis=1) == np.arange(M.a)).all()
