@@ -29,7 +29,6 @@ from .mosaics import (
     Mosaic,
     Quasigroup,
     RateReport,
-    TableQuasigroup,
     construct_from_resolvable,
     dual_mosaic,
     from_functional_form,
@@ -104,7 +103,6 @@ from .simkit import (
     constant_column_channel,
     identity_channel,
     independent_source,
-    make_channel,
     pa_roundtrip,
     random_channel,
     random_source,

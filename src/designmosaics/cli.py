@@ -8,7 +8,8 @@ Exit codes: 0 success, 1 property-check failure (with a witness in the JSON),
 later call in the same process; each call parses into a fresh namespace.
 The commands build F through ``Mosaic.color_matrix``: one gather over the
 class and color tables for the families M1, M2, M3 and M4 without the vertical
-slope, and a per-cell fill of f for loaded member files and M4 with it.
+slope, and a per-cell fill of f for M4 with it.  Loaded member files set F
+directly from the member matrices.
 """
 
 from __future__ import annotations
@@ -139,9 +140,8 @@ def _verify_members(M) -> dict:
                         "witness": list(res.witness)}
         checks["members"] = f"all {M.a} verify as BIBDs"
     elif M.member_kind == "gdd":
-        part = M.point_classes or M.member_params.partition
         for alpha in range(M.a):
-            res = verify_gdd(M.member(alpha), part,
+            res = verify_gdd(M.member(alpha), M.point_classes,
                              M.member_params.lambda1, M.member_params.lambda2)
             if not res:
                 return {"ok": False, "member": alpha, "reason": res.reason,

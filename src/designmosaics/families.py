@@ -143,7 +143,6 @@ def build_m1(t: int, q: int) -> Mosaic:
         return G, add
 
     return Mosaic(spec.v, spec.b, spec.a, f, g, k=spec.k,
-                  member_kind="bibd",
                   member_params=BIBDParams(v=spec.v, k=spec.k, lam=spec.lam,
                                            r=spec.r, b=spec.b),
                   meta={"family": "m1", "t": t, "q": q}, form=form)
@@ -539,7 +538,6 @@ def build_m2(t: int, l: int) -> Mosaic:
         return geom.block_ranks(), np.add.outer(np.arange(a), np.arange(a)) % a
 
     mosaic = Mosaic(geom.v, geom.b, a, f, g, k=geom.k,
-                    member_kind="bibd",
                     member_params=BIBDParams(v=geom.v, k=geom.k, lam=1,
                                              r=geom.r, b=geom.b),
                     meta={"family": "m2", "t": t, "l": l}, form=form)
@@ -637,8 +635,7 @@ def build_m4(k: int, q: int, slopes=None) -> Mosaic:
     gdd = GDDParams(u=q, m=k, k=k, lambda1=0, lambda2=1,
                     v=spec.v, r=q, b=spec.b, partition=partition)
     # on a vertical line f = s1 - d does not depend on s2, so no L fits
-    return Mosaic(spec.v, spec.b, q, f, g, k=k, member_kind="gdd",
-                  member_params=gdd, point_classes=partition,
+    return Mosaic(spec.v, spec.b, q, f, g, k=k, member_params=gdd,
                   meta={"family": "m4", "k": k, "q": q, "slopes": list(R)},
                   form=None if q in R else form)
 

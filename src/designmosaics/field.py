@@ -157,14 +157,14 @@ class GF:
     Instances are immutable apart from internal caches and safe to share.
     """
 
-    def __init__(self, p, n, modulus=None, max_order=MAX_FIELD_ORDER):
+    def __init__(self, p, n, modulus=None):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if n < 1:
             raise ValueError("extension degree must be at least 1")
         order = p ** n
-        if order > max_order:
-            raise ValueError(f"field order {order} exceeds the configured bound {max_order}")
+        if order > MAX_FIELD_ORDER:
+            raise ValueError(f"field order {order} exceeds the bound {MAX_FIELD_ORDER}")
         self.p = p
         self.n = n
         self.order = order
@@ -469,28 +469,31 @@ class GF:
 
 class FieldArrays:
     """Element-wise GF(2^n) arithmetic on int arrays, obtained from
-    :meth:`GF.arrays`; each method mirrors the scalar one of ``GF``."""
+    :meth:`GF.arrays`; each method mirrors the scalar one of ``GF``.  It copies
+    what it reads from the field and keeps no reference back, so no cycle."""
 
     def __init__(self, gf: GF):
         gf._require_char2()
         if gf._exp is None:
             gf._build_log_tables()
-        self.gf = gf
+        self.name = repr(gf)
         self.exp = np.asarray(gf._exp, dtype=np.int64)
         self.log = np.asarray(gf._log, dtype=np.int64)
         self.q1 = gf.order - 1
+        self._trace_basis, self._gram, self._as_cols = gf._trace_basis, gf._gram, gf._as_cols
+        self._dual = gf.dual_basis().dual
 
     def mul(self, a, b):
         return np.where((a == 0) | (b == 0), 0, self.exp[self.log[a] + self.log[b]])
 
     def inv(self, a):
         if np.any(a == 0):
-            raise ZeroDivisionError(f"0 has no inverse in {self.gf}")
+            raise ZeroDivisionError(f"0 has no inverse in {self.name}")
         return self.exp[(self.q1 - self.log[a]) % self.q1]
 
     def div(self, a, b):
         if np.any(b == 0):
-            raise ZeroDivisionError(f"division by 0 in {self.gf}")
+            raise ZeroDivisionError(f"division by 0 in {self.name}")
         return np.where(a == 0, 0, self.exp[(self.log[a] - self.log[b]) % self.q1])
 
     def sqrt(self, a):
@@ -498,25 +501,25 @@ class FieldArrays:
         return np.where(a == 0, 0, self.exp[(e + (e & 1) * self.q1) >> 1])
 
     def trace(self, a):
-        return _apply_cols(self.gf._trace_basis, a)
+        return _apply_cols(self._trace_basis, a)
 
     def dual_coords(self, a):
-        return _apply_cols(self.gf._gram, a)
+        return _apply_cols(self._gram, a)
 
     def from_dual_coords(self, bits):
-        return _apply_cols(self.gf.dual_basis().dual, bits)
+        return _apply_cols(self._dual, bits)
 
     def artin_schreier_root(self, a):
         """The smaller root w of w^2 + w = a (the other is w + 1), element-wise;
         every element of a must have trace 0."""
         if np.any(self.trace(a)):
             raise ValueError("w^2 + w = a has no root where Tr(a) = 1")
-        return _apply_cols(self.gf._as_cols, a)
+        return _apply_cols(self._as_cols, a)
 
 
-def make_field(p: int, n: int, max_order: int = MAX_FIELD_ORDER) -> GF:
+def make_field(p: int, n: int) -> GF:
     """GF(p^n) with the deterministically chosen least irreducible modulus."""
-    return GF(p, n, max_order=max_order)
+    return GF(p, n)
 
 
 def prime_power(q: int) -> tuple:

@@ -10,13 +10,14 @@ from which members, preimages and joint laws are derived on demand.
 
 A mosaic built from a resolvable design and a quasigroup on the colors has
 the resolvable form f(x, (i, beta)) = L(beta, gamma_i(x)), with the seed
-s = i a + beta.  Such a mosaic may carry a ``form``: a callable returning its
-(v, b/a) class table G[x, i] = gamma_i(x) and its (a, a) color table
-L[beta, gamma].  Its color matrix is then one gather over (G, L): so for
-``construct_from_resolvable``, ``point_multiple`` of such a mosaic, and the
-families M1, M2, M3 and M4 without the vertical slope.  Mosaics without the
-form (``from_members``, ``dual_mosaic``, hand-made functional forms, M4 with
-the vertical slope) fill F by calling f once per cell.
+s = i a + beta.  A :class:`Quasigroup` is its Latin square L[beta, gamma].
+Such a mosaic may carry a ``form``: a callable returning its (v, b/a) class
+table G[x, i] = gamma_i(x) and its (a, a) color table L.  Its color matrix is
+then one gather over (G, L): so for ``construct_from_resolvable``,
+``point_multiple`` of such a mosaic, and the families M1, M2, M3 and M4
+without the vertical slope.  ``from_members`` sets F from the member matrices
+and ``dual_mosaic`` to the base's F transposed; hand-made functional forms and
+M4 with the vertical slope fill F by calling f once per cell.
 """
 
 from __future__ import annotations
@@ -43,70 +44,17 @@ from .designs import (
 # ---------------------------------------------------------------------------
 
 class Quasigroup:
-    """Binary operation on [a] with unique left and right division."""
-
-    order: int
-
-    def value(self, beta, gamma):
-        raise NotImplementedError
-
-    def solve_right(self, beta, alpha):
-        """The unique gamma with value(beta, gamma) = alpha."""
-        raise NotImplementedError
-
-    def solve_left(self, gamma, alpha):
-        """The unique beta with value(beta, gamma) = alpha."""
-        raise NotImplementedError
-
-
-class CyclicQuasigroup(Quasigroup):
-    """Addition on Z_a."""
-
-    def __init__(self, order):
-        if order < 1:
-            raise ValueError("order must be positive")
-        self.order = order
-
-    def value(self, beta, gamma):
-        return (beta + gamma) % self.order
-
-    def solve_right(self, beta, alpha):
-        return (alpha - beta) % self.order
-
-    def solve_left(self, gamma, alpha):
-        return (alpha - gamma) % self.order
-
-
-class FieldAdditiveQuasigroup(Quasigroup):
-    """The additive group of a finite field, on packed element encodings."""
-
-    def __init__(self, gf):
-        self.gf = gf
-        self.order = gf.order
-
-    def value(self, beta, gamma):
-        return self.gf.add(beta, gamma)
-
-    def solve_right(self, beta, alpha):
-        return self.gf.sub(alpha, beta)
-
-    def solve_left(self, gamma, alpha):
-        return self.gf.sub(alpha, gamma)
-
-
-class TableQuasigroup(Quasigroup):
-    """Quasigroup backed by an explicit Latin table; solves by index lookup."""
+    """Binary operation on [a] with unique left and right division, held as its
+    Latin square ``table[beta, gamma]``; both divisions are table lookups."""
 
     def __init__(self, table):
         T = np.asarray(table, dtype=np.int64)
-        if T.ndim != 2 or T.shape[0] != T.shape[1]:
-            raise ValueError("quasigroup table must be square")
-        a = T.shape[0]
-        want = np.arange(a)
-        if not (np.array_equal(np.sort(T, axis=1), np.tile(want, (a, 1)))
-                and np.array_equal(np.sort(T, axis=0), np.tile(want[:, None], (1, a)))):
+        if T.ndim != 2 or T.shape[0] != T.shape[1] or not T.size:
+            raise ValueError("quasigroup table must be square and nonempty")
+        want = np.arange(T.shape[0])
+        if not ((np.sort(T, axis=1) == want).all() and (np.sort(T, axis=0) == want[:, None]).all()):
             raise ValueError("table is not a Latin square")
-        self.order = a
+        self.order = T.shape[0]
         self.table = T
         self._right = np.argsort(T, axis=1)      # _right[beta, alpha] = gamma
         self._left = np.argsort(T.T, axis=1)     # _left[gamma, alpha] = beta
@@ -115,15 +63,36 @@ class TableQuasigroup(Quasigroup):
         return int(self.table[beta, gamma])
 
     def solve_right(self, beta, alpha):
+        """The unique gamma with value(beta, gamma) = alpha."""
         return int(self._right[beta, alpha])
 
     def solve_left(self, gamma, alpha):
+        """The unique beta with value(beta, gamma) = alpha."""
         return int(self._left[gamma, alpha])
+
+
+class CyclicQuasigroup(Quasigroup):
+    """Addition on Z_a."""
+
+    def __init__(self, order):
+        super().__init__(np.add.outer(np.arange(order), np.arange(order)) % order)
+
+
+class FieldAdditiveQuasigroup(Quasigroup):
+    """The additive group of a finite field, on packed element encodings."""
+
+    def __init__(self, gf):
+        elems = range(gf.order)
+        super().__init__([[gf.add(beta, gamma) for gamma in elems] for beta in elems])
 
 
 # ---------------------------------------------------------------------------
 # the mosaic data model
 # ---------------------------------------------------------------------------
+
+# the member kind that each parameter type describes
+MEMBER_KINDS = {BIBDParams: "bibd", GDDParams: "gdd"}
+
 
 @dataclass(frozen=True)
 class MosaicCert:
@@ -136,29 +105,36 @@ class MosaicCert:
 class Mosaic:
     """Color-indexed family (D_alpha) on [v] x [b], held as a functional form.
 
-    ``member_kind`` ('bibd' or 'gdd') and ``member_params`` describe the common
-    parameters of all members when known; ``point_classes`` carries the shared
-    point class partition of GDD members.  ``form``, when given, is a
+    ``member_params`` (``BIBDParams`` or ``GDDParams``) describes the common
+    parameters of all members when known; the member kind and the shared point
+    classes of GDD members are read from it.  ``form``, when given, is a
     zero-argument callable returning the class table G and the color table L
     of the resolvable form f(x, i a + beta) = L[beta, G[x, i]]; it is called
     once, by the first :meth:`color_matrix`.
     """
 
-    def __init__(self, v, b, a, f, g=None, k=None, member_kind=None,
-                 member_params=None, point_classes=None, meta=None, form=None):
+    def __init__(self, v, b, a, f, g=None, k=None, member_params=None, meta=None, form=None):
         self.v = v
         self.b = b
         self.a = a
         self.k = v // a if k is None else k
         self._f = f
         self._g = g
-        self.member_kind = member_kind
         self.member_params = member_params
-        self.point_classes = point_classes
         self.meta = dict(meta or {})
         self._form = form
         self._colors = None
-        self._stack = None    # from_members' input stack, for verify_mosaic
+        self._cover_fault = None    # from_members: first (x, s, count) with count != 1
+
+    @property
+    def member_kind(self):
+        """'bibd' or 'gdd' by the type of ``member_params``; None if unclassified."""
+        return MEMBER_KINDS.get(type(self.member_params))
+
+    @property
+    def point_classes(self):
+        """The point class partition shared by GDD members; None otherwise."""
+        return getattr(self.member_params, "partition", None)
 
     def __repr__(self):
         fam = self.meta.get("family")
@@ -212,46 +188,40 @@ def _out_of_range(*checks):
             raise ValueError(f"{name} = {value} is out of range [0, {bound})")
 
 
-def from_functional_form(f, g, v, b, a, k=None, validate=True, **kwargs) -> Mosaic:
+def from_functional_form(f, g, v, b, a, k=None, **kwargs) -> Mosaic:
     M = Mosaic(v, b, a, f, g, k=k, **kwargs)
-    if validate:
-        res = verify_functional_form(M)
-        if not res:
-            raise ValueError(f"inconsistent functional form: {res.reason} {res.witness}")
+    res = verify_functional_form(M)
+    if not res:
+        raise ValueError(f"inconsistent functional form: {res.reason} {res.witness}")
     return M
 
 
-def from_members(structures, member_kind=None, member_params=None,
-                 point_classes=None, meta=None) -> Mosaic:
-    """Mosaic from explicit member matrices; the partition property is checked
-    by :func:`verify_mosaic`, not here."""
-    stack = np.stack([S.N for S in structures]).astype(np.uint8)
-    a, v, b = stack.shape
-    colors = np.argmax(stack, axis=0).astype(np.int32)
+def _from_colors(F, a, k=None, member_params=None, meta=None) -> Mosaic:
+    """Mosaic held by its color matrix F alone: f reads F, g scans a column."""
+    M = Mosaic(F.shape[0], F.shape[1], a, lambda x, s: int(F[x, s]), None, k=k,
+               member_params=member_params, meta=meta)
+    M._colors = F
+    return M
 
-    def f(x, s):
-        return int(colors[x, s])
 
-    M = Mosaic(v, b, a, f, None, member_kind=member_kind, member_params=member_params,
-               point_classes=point_classes, meta=meta)
-    M._stack = stack
-    M._colors = colors
+def from_members(structures, member_params=None, meta=None) -> Mosaic:
+    """Mosaic from explicit member matrices.  F takes the first member on each
+    pair; the first pair not covered exactly once is kept as (x, s, count), and
+    :func:`verify_mosaic` reports it."""
+    stack = np.stack([S.N for S in structures])
+    total = stack.sum(axis=0, dtype=np.int64)
+    M = _from_colors(np.argmax(stack, axis=0).astype(np.int32), len(stack),
+                     member_params=member_params, meta=meta)
+    for x, s in np.argwhere(total != 1)[:1]:
+        M._cover_fault = (int(x), int(s), int(total[x, s]))
     return M
 
 
 def verify_mosaic(M: Mosaic):
     """Partition property (every pair incident in exactly one member) plus
-    nonemptiness of every member."""
-    if M._stack is not None:
-        total = M._stack.sum(axis=0, dtype=np.int64)
-        if not (total == 1).all():
-            x, s = map(int, np.argwhere(total != 1)[0])
-            return CheckFailure("pair covered by wrong number of members", (x, s, int(total[x, s])))
-        per_member = M._stack.sum(axis=(1, 2))
-        empty = np.flatnonzero(per_member == 0)
-        if empty.size:
-            return CheckFailure("empty member", (int(empty[0]),))
-        return MosaicCert(M.v, M.b, M.a, M.k)
+    nonemptiness of every member, which then shows as a color absent from F."""
+    if M._cover_fault is not None:
+        return CheckFailure("pair covered by wrong number of members", M._cover_fault)
     F = M.color_matrix()
     if F.min() < 0 or F.max() >= M.a:
         x, s = map(int, np.argwhere((F < 0) | (F >= M.a))[0])
@@ -289,8 +259,7 @@ def verify_functional_form(M: Mosaic):
 # ---------------------------------------------------------------------------
 
 def construct_from_resolvable(D: IncidenceStructure, resolution: Resolution, L: Quasigroup,
-                              member_kind=None, member_params=None,
-                              point_classes=None, meta=None) -> Mosaic:
+                              member_params=None, meta=None) -> Mosaic:
     """Mosaic on (X, R x A): the point p and block (i, beta) are incident in
     member alpha exactly when p lies on the block of parallel class i labelled
     gamma, for the unique gamma with L(beta, gamma) = alpha.
@@ -323,27 +292,17 @@ def construct_from_resolvable(D: IncidenceStructure, resolution: Resolution, L: 
         gamma = L.solve_right(beta, alpha)
         return int(block_pts[i][gamma][kappa])
 
-    def form():
-        table = [[L.value(beta, gamma) for gamma in range(a)] for beta in range(a)]
-        return gamma_of, np.array(table)
-
-    return Mosaic(D.v, r * a, a, f, g, k=tact.k, member_kind=member_kind,
-                  member_params=member_params, point_classes=point_classes, meta=meta,
-                  form=form)
+    return Mosaic(D.v, r * a, a, f, g, k=tact.k, member_params=member_params, meta=meta,
+                  form=lambda: (gamma_of, L.table))
 
 
-def dual_mosaic(M: Mosaic, member_kind=None, member_params=None,
-                point_classes=None) -> Mosaic:
-    """Transpose every member: f^T(s, x) = f(x, s)."""
+def dual_mosaic(M: Mosaic) -> Mosaic:
+    """Transpose every member: f^T(s, x) = f(x, s).  The dual's color matrix
+    is the base's, transposed."""
     if (M.b * M.k) % M.v:
         raise ValueError("dual of a non-tactical mosaic has no constant block size")
-    out = Mosaic(M.b, M.v, M.a, lambda x, s: M.f(s, x), None, k=M.b * M.k // M.v,
-                 member_kind=member_kind, member_params=member_params,
-                 point_classes=point_classes,
-                 meta={**M.meta, "dual": True})
-    if M._colors is not None:
-        out._colors = M._colors.T.copy()
-    return out
+    return _from_colors(M.color_matrix().T, M.a, k=M.b * M.k // M.v,
+                        meta={**M.meta, "dual": True})
 
 
 def sum_structure(M: Mosaic):
@@ -364,7 +323,7 @@ def point_multiple(M: Mosaic, u: int) -> Mosaic:
     (u, m=v, k=u k, lambda1=r, lambda2=lambda)."""
     if u < 1:
         raise ValueError("u must be a positive integer")
-    if M.member_kind != "bibd" or not isinstance(M.member_params, BIBDParams):
+    if not isinstance(M.member_params, BIBDParams):
         raise ValueError("point multiples are defined for mosaics of BIBDs")
     bp = M.member_params
     classes = tuple(tuple(range(x * u, (x + 1) * u)) for x in range(M.v))
@@ -386,8 +345,7 @@ def point_multiple(M: Mosaic, u: int) -> Mosaic:
             G, L = M._form()
             return np.repeat(G, u, axis=0), L
 
-    return Mosaic(u * M.v, M.b, M.a, f, g, k=u * M.k, member_kind="gdd",
-                  member_params=gdd, point_classes=classes,
+    return Mosaic(u * M.v, M.b, M.a, f, g, k=u * M.k, member_params=gdd,
                   meta={**M.meta, "point_multiple": u}, form=form)
 
 
@@ -452,7 +410,7 @@ def rates(M: Mosaic) -> RateReport:
         return RateReport(color, block, ratio, None, is_td,
                           "optimal" if is_td else "near-optimal", reason,
                           td_rate_floor=floor)
-    raise ValueError("rate analysis needs classified members (member_kind set)")
+    raise ValueError("rate analysis needs classified members (BIBD or GDD parameters)")
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +419,21 @@ def rates(M: Mosaic) -> RateReport:
 
 def mosaic_header(M: Mosaic) -> dict:
     from .designs import params_to_json
-    head = {
+    implied = implied_member_keys(M.member_params)
+    return {
         "format": "mosaic",
         "family": M.meta.get("family"),
         "params": {key: val for key, val in M.meta.items() if key != "family"},
         "v": M.v, "b": M.b, "a": M.a, "k": M.k,
-        "member_kind": M.member_kind,
+        "member_kind": implied["member_kind"],
         "member_params": None if M.member_params is None else params_to_json(M.member_params),
-        "point_classes": None if M.point_classes is None else [list(c) for c in M.point_classes],
+        "point_classes": implied["point_classes"],
     }
-    return head
+
+
+def implied_member_keys(member_params) -> dict:
+    """The header's ``member_kind`` and ``point_classes``, as ``member_params``
+    implies them."""
+    part = getattr(member_params, "partition", None)
+    return {"member_kind": MEMBER_KINDS.get(type(member_params)),
+            "point_classes": None if part is None else [list(c) for c in part]}

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from .designs import incidence_from_csv, incidence_to_csv, params_from_json
 from .families import build_family
-from .mosaics import Mosaic, from_members, mosaic_header
+from .mosaics import Mosaic, from_members, implied_member_keys, mosaic_header
 
 
 def content_hash(payload) -> str:
@@ -46,13 +46,13 @@ def load_mosaic(json_path) -> Mosaic:
         raise ValueError(f"{json_path}: header does not match its content_hash")
     member_params = head.get("member_params")
     params = None if member_params is None else params_from_json(member_params)
-    classes = head.get("point_classes")
-    classes = None if classes is None else tuple(tuple(c) for c in classes)
+    for key, want in implied_member_keys(params).items():
+        if head.get(key) != want:
+            raise ValueError(f"{json_path}: header {key} disagrees with its member_params")
     if head.get("members"):
         structures = [incidence_from_csv(json_path.with_name(name))
                       for name in head["members"]]
-        M = from_members(structures, member_kind=head.get("member_kind"),
-                         member_params=params, point_classes=classes,
+        M = from_members(structures, member_params=params,
                          meta={"family": head.get("family"), **head.get("params", {})})
     elif head.get("family") is None:
         raise ValueError("header has neither member files nor a family tag")

@@ -68,22 +68,6 @@ def random_channel(v: int, nz: int, rng) -> Channel:
     return Channel(rng.dirichlet(np.ones(nz), size=v))
 
 
-def make_channel(kind: str, v: Optional[int] = None, crossover: float = 0.1,
-                 output_dist=None, path=None, nz: Optional[int] = None,
-                 rng=None) -> Channel:
-    if kind == "identity":
-        return identity_channel(v)
-    if kind == "symmetric":
-        return symmetric_channel(v, crossover)
-    if kind == "constant-column":
-        return constant_column_channel(v, output_dist)
-    if kind == "file":
-        return channel_from_csv(path)
-    if kind == "random":
-        return random_channel(v, nz or v, rng or np.random.default_rng(0))
-    raise ValueError(f"unknown channel kind {kind!r}")
-
-
 def random_source(v: int, nz: int, rng) -> JointXZ:
     return JointXZ(rng.dirichlet(np.ones(v * nz)).reshape(v, nz))
 

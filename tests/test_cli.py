@@ -244,3 +244,43 @@ def test_cli_calls_leave_little_cyclic_garbage(capsys):
         gc.enable()
     capsys.readouterr()
     assert unreachable <= 2000
+
+
+def test_cli_calls_leave_no_field_to_the_cyclic_collector(capsys):
+    # a FieldArrays that referred back to its GF made every field a cycle:
+    # 20 calls left 20 GF, 20 FieldArrays and 20 DualBasisData behind
+    import gc
+    from collections import Counter
+    argv = ["verify", "--family", "m2", "--t", "3", "--l", "2"]
+    flags = gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(20):
+            assert main(argv) == 0
+        gc.collect()
+        kinds = Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.enable()
+    capsys.readouterr()
+    assert [kinds[name] for name in ("GF", "FieldArrays", "DualBasisData")] == [0, 0, 0]
+
+
+def test_load_rejects_a_member_description_its_params_do_not_imply(tmp_path, capsys):
+    from designmosaics.serialize import _header_hash
+    path = tmp_path / "m4.json"
+    save_mosaic(build_m4(3, 4), path, members=True)
+    head = json.loads(path.read_text())
+    assert load_mosaic(path).point_classes == tuple(map(tuple, head["point_classes"]))
+    for key, value in [("member_kind", "bibd"), ("member_kind", None),
+                       ("point_classes", None), ("point_classes", [[0, 1], [2, 3]])]:
+        edited = {**head, key: value}
+        edited["content_hash"] = _header_hash(edited)
+        path.write_text(json.dumps(edited))
+        with pytest.raises(ValueError, match=f"header {key} disagrees"):
+            load_mosaic(path)
+        code, _, err = run(capsys, "verify", "--mosaic", str(path))
+        assert code == 2 and key in json.loads(err)["error"]

@@ -22,7 +22,7 @@ from designmosaics.field import make_field
 from designmosaics.mosaics import (
     CyclicQuasigroup,
     FieldAdditiveQuasigroup,
-    TableQuasigroup,
+    Quasigroup,
     construct_from_resolvable,
     dual_mosaic,
     from_members,
@@ -64,9 +64,9 @@ def test_gather_matches_scalar_fill_for_construct_from_resolvable():
     D, R = ag_design(2, 4)
     assert_gather_matches(construct_from_resolvable(D, R, FieldAdditiveQuasigroup(make_field(2, 2))))
     D, R = ag_design(2, 3)
-    assert_gather_matches(construct_from_resolvable(D, R, TableQuasigroup([[0, 2, 1],
-                                                                         [1, 0, 2],
-                                                                         [2, 1, 0]])))
+    assert_gather_matches(construct_from_resolvable(D, R, Quasigroup([[0, 2, 1],
+                                                                    [1, 0, 2],
+                                                                    [2, 1, 0]])))
     D, R = td_design(4, 5)
     assert_gather_matches(construct_from_resolvable(D, R, CyclicQuasigroup(5)))
 

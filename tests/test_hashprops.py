@@ -73,9 +73,7 @@ def test_clatworthy_parameter_verdicts():
 def test_clatworthy_verdicts_cross_checked_with_spectra():
     for cat, want in [(clatworthy_r1(), True), (clatworthy_r2(), False)]:
         M = construct_from_resolvable(cat.structure, cat.resolution,
-                                      CyclicQuasigroup(2),
-                                      member_kind="gdd", member_params=cat.params,
-                                      point_classes=cat.partition)
+                                      CyclicQuasigroup(2), member_params=cat.params)
         verdict = check_regular_gdd_uhf(cat.params, mosaic=M)
         assert verdict.universal == want == is_universal(M)
 

@@ -10,7 +10,7 @@ from designmosaics.mosaics import (
     CyclicQuasigroup,
     FieldAdditiveQuasigroup,
     Mosaic,
-    TableQuasigroup,
+    Quasigroup,
     construct_from_resolvable,
     dual_mosaic,
     from_functional_form,
@@ -48,7 +48,7 @@ def test_field_additive_quasigroup():
 def test_table_quasigroup_latin_check():
     a = 6
     table = (np.arange(a)[:, None] + np.arange(a)[None, :]) % a
-    L = TableQuasigroup(table)
+    L = Quasigroup(table)
     for beta in range(a):
         for alpha in range(a):
             assert L.value(beta, L.solve_right(beta, alpha)) == alpha
@@ -56,7 +56,38 @@ def test_table_quasigroup_latin_check():
     bad = table.copy()
     bad[0, 0] = bad[0, 1]
     with pytest.raises(ValueError):
-        TableQuasigroup(bad)
+        Quasigroup(bad)
+
+
+def test_quasigroup_tables_equal_the_group_arithmetic():
+    # Z_a addition and field addition, as the arithmetic gives them
+    for a in range(1, 8):
+        L = CyclicQuasigroup(a)
+        assert L.order == a
+        for beta in range(a):
+            for gamma in range(a):
+                alpha = (beta + gamma) % a
+                assert L.value(beta, gamma) == alpha
+                assert L.solve_right(beta, alpha) == gamma
+                assert L.solve_left(gamma, alpha) == beta
+    for gf in (make_field(2, 3), make_field(3, 2), make_field(5, 1)):
+        L = FieldAdditiveQuasigroup(gf)
+        assert L.order == gf.order
+        for beta in range(gf.order):
+            for gamma in range(gf.order):
+                alpha = gf.add(beta, gamma)
+                assert L.value(beta, gamma) == alpha
+                assert L.solve_right(beta, alpha) == gf.sub(alpha, beta) == gamma
+                assert L.solve_left(gamma, alpha) == gf.sub(alpha, gamma) == beta
+
+
+@pytest.mark.parametrize("table", [
+    [], np.zeros((0, 0)), [0], [[0, 1]], [[0, 1], [1, 0], [0, 1]],   # empty, not square
+    [[0, 1], [0, 1]], [[0, 0], [1, 1]], [[0, 2], [2, 0]],            # not Latin
+])
+def test_quasigroup_rejects_bad_tables(table):
+    with pytest.raises(ValueError):
+        Quasigroup(table)
 
 
 # -- construction and verification --------------------------------------------
@@ -114,6 +145,23 @@ def test_verify_mosaic_double_cover_fails():
     M = from_members([D, D])
     res = verify_mosaic(M)
     assert not res and res.reason.startswith("pair covered")
+
+
+def test_verify_mosaic_witnesses_without_a_member_stack():
+    D, _ = ag_design(2, 2)
+    assert verify_mosaic(from_members([D, D])).witness == (0, 0, 2)
+    N = [m.N.copy() for m in build_m1(2, 3).members()]
+    N[1][4, 5] = 0
+    M = from_members([IncidenceStructure(n) for n in N])
+    res = verify_mosaic(M)
+    assert res.reason.startswith("pair covered") and res.witness == (4, 5, 0)
+    ones = IncidenceStructure(np.ones((3, 4)))
+    zeros = IncidenceStructure(np.zeros((3, 4)))
+    res = verify_mosaic(from_members([ones, zeros]))
+    assert res.reason == "empty member" and res.witness == (1,)
+    assert verify_mosaic(from_members([zeros, ones, zeros])).witness == (0,)
+    # F is the only array the mosaic keeps
+    assert [name for name, val in vars(M).items() if isinstance(val, np.ndarray)] == ["_colors"]
 
 
 def test_verify_mosaic_single_complete_member():
@@ -180,6 +228,28 @@ def test_dual_mosaic_involution_and_f_relation():
     D2 = dual_mosaic(D1)
     assert np.array_equal(D2.color_matrix(), M.color_matrix())
     assert verify_mosaic(D1)
+
+
+def test_dual_takes_the_base_color_matrix_transposed():
+    M = build_m2(5, 3)
+    calls = []
+    f = M._f
+    M._f = lambda x, s: calls.append((x, s)) or f(x, s)
+    D = dual_mosaic(M)
+    assert np.array_equal(D.color_matrix(), M.color_matrix().T)
+    assert calls == []
+    assert D.f(7, 3) == M.f(3, 7) and len(calls) == 1
+
+
+def test_member_description_is_derived_from_member_params():
+    assert (build_m1(2, 3).member_kind, build_m1(2, 3).point_classes) == ("bibd", None)
+    for M in (build_m4(3, 4), point_multiple(build_m2(2, 1), 2)):
+        assert M.member_kind == "gdd"
+        assert M.point_classes == M.member_params.partition is not None
+    M = from_members(build_m1(2, 2).members())
+    assert (M.member_kind, M.point_classes) == (None, None)
+    with pytest.raises(AttributeError):
+        M.member_kind = "bibd"
 
 
 def test_dual_of_resolvable_mosaic_members_are_gdds_with_lambda1_zero():

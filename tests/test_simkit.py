@@ -17,7 +17,6 @@ from designmosaics.simkit import (
     constant_column_channel,
     identity_channel,
     independent_source,
-    make_channel,
     pa_roundtrip,
     random_channel,
     random_source,
@@ -50,12 +49,10 @@ def test_channel_from_csv_rejects_nonstochastic(tmp_path):
 
 
 def test_make_channel_dispatch():
-    assert make_channel("identity", v=3).W.shape == (3, 3)
-    assert make_channel("symmetric", v=3, crossover=0.2).W.shape == (3, 3)
-    assert make_channel("constant-column", v=3).W.shape == (3, 2)
-    assert make_channel("random", v=3, nz=5, rng=np.random.default_rng(0)).W.shape == (3, 5)
-    with pytest.raises(ValueError):
-        make_channel("nope", v=3)
+    assert identity_channel(3).W.shape == (3, 3)
+    assert symmetric_channel(3, 0.2).W.shape == (3, 3)
+    assert constant_column_channel(3).W.shape == (3, 2)
+    assert random_channel(3, 5, np.random.default_rng(0)).W.shape == (3, 5)
 
 
 def test_chi_square_gof_calibration():
