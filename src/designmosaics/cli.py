@@ -78,8 +78,15 @@ def _family_params(args) -> dict:
 
 
 def _build(args):
+    """The mosaic of --family or --mosaic.  A loaded file that is not a mosaic
+    is a validation error, except for ``verify``, which reports its witness."""
     if getattr(args, "mosaic", None):
-        return load_mosaic(args.mosaic)
+        M = load_mosaic(args.mosaic)
+        if args.command != "verify":
+            res = verify_mosaic(M)
+            if not res:
+                raise CliError(f"{args.mosaic} is not a mosaic: {res.reason} {list(res.witness)}")
+        return M
     if not args.family:
         raise CliError("either --family with parameters or --mosaic is required")
     return build_family(args.family, **_family_params(args))

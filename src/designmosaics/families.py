@@ -9,6 +9,11 @@
 * ``build_m4``: mosaics of (q, k, 1) transversal designs obtained from duals
   of affine planes with deleted parallel classes.
 
+The base design of each family is the resolvable design of its class table
+G, block i a + gamma = {x : G[x, i] = gamma}: ``ag_design`` reads M1's
+hyperplane table, ``denniston_design`` the Denniston class tables that g
+reads; ``td_design`` is member 0 of the M4 mosaic.
+
 Slopes of AG(2, q) are encoded as ints in [0, q] with q standing for the
 vertical (infinite) slope.
 """
@@ -25,7 +30,7 @@ from .designs import (
     IncidenceStructure,
     Resolution,
 )
-from .field import make_field, prime_power
+from .field import _digits, make_field, prime_power
 from .mosaics import Mosaic, point_multiple
 
 
@@ -83,12 +88,28 @@ def _field_tables(gf):
     return add, mul
 
 
-def _vector_digits(x: int, q: int, t: int):
-    out = []
-    for _ in range(t):
-        x, d = divmod(x, q)
-        out.append(d)
-    return out
+def _m1_form(gf, t: int, slopes):
+    """M1's resolvable form: the (q^t, r) hyperplane table G[x, i] = h_i . x
+    over GF(q) and the color table L[beta, gamma] = gamma + beta."""
+    q = gf.order
+    add, mul = _field_tables(gf)
+    coords = np.arange(q ** t)[:, None] // q ** np.arange(t) % q
+    H = np.array(slopes)
+    G = np.zeros((q ** t, len(slopes)), dtype=np.int64)
+    for j in range(t):
+        G = add[G, mul[coords[:, j, None], H[None, :, j]]]
+    return G, add
+
+
+def _resolvable_design(G: np.ndarray, a: int):
+    """The resolvable design of a (v, r) class table G with a blocks per
+    class: block i a + gamma is {x : G[x, i] = gamma}, class i is blocks
+    i a, ..., i a + a - 1."""
+    v, r = G.shape
+    N = np.zeros((v, r * a), dtype=np.uint8)
+    np.put_along_axis(N, G + a * np.arange(r), 1, axis=1)
+    classes = tuple(tuple(range(i * a, (i + 1) * a)) for i in range(r))
+    return IncidenceStructure(N), Resolution(classes)
 
 
 def build_m1(t: int, q: int) -> Mosaic:
@@ -100,7 +121,7 @@ def build_m1(t: int, q: int) -> Mosaic:
 
     def dot(h, x):
         acc = 0
-        coords = _vector_digits(x, q, t)
+        coords = _digits(x, q, t)
         for hi, xi in zip(h, coords):
             if hi and xi:
                 acc = gf.add(acc, gf.mul(hi, xi))
@@ -115,7 +136,7 @@ def build_m1(t: int, q: int) -> Mosaic:
         h = slopes[i]
         target = gf.sub(alpha, beta)
         pivot = next(j for j, hj in enumerate(h) if hj)
-        free = _vector_digits(kappa, q, t - 1)
+        free = _digits(kappa, q, t - 1)
         coords = [0] * t
         fi = 0
         acc = 0
@@ -132,40 +153,20 @@ def build_m1(t: int, q: int) -> Mosaic:
             x = x * q + coords[j]
         return x
 
-    def form():
-        # G[x, i] = h_i . x over GF(q); L[beta, gamma] = gamma + beta
-        add, mul = _field_tables(gf)
-        coords = np.arange(spec.v)[:, None] // q ** np.arange(t) % q
-        H = np.array(slopes)
-        G = np.zeros((spec.v, spec.r), dtype=np.int64)
-        for j in range(t):
-            G = add[G, mul[coords[:, j, None], H[None, :, j]]]
-        return G, add
-
     return Mosaic(spec.v, spec.b, spec.a, f, g, k=spec.k,
                   member_params=BIBDParams(v=spec.v, k=spec.k, lam=spec.lam,
                                            r=spec.r, b=spec.b),
-                  meta={"family": "m1", "t": t, "q": q}, form=form)
+                  meta={"family": "m1", "t": t, "q": q},
+                  form=lambda: _m1_form(gf, t, slopes))
 
 
 def ag_design(t: int, q: int):
     """The resolvable BIBD AG_{t-1}(t, q) itself, with its hyperplane-pencil
     resolution; block (i, alpha) is the hyperplane h_i . x = alpha."""
-    spec = m1_spec(t, q)
+    m1_spec(t, q)
     p, e = prime_power(q)
-    gf = make_field(p, e)
-    slopes = _m1_slopes(t, q)
-    N = np.zeros((spec.v, spec.b), dtype=np.uint8)
-    for x in range(spec.v):
-        coords = _vector_digits(x, q, t)
-        for i, h in enumerate(slopes):
-            acc = 0
-            for hj, xj in zip(h, coords):
-                if hj and xj:
-                    acc = gf.add(acc, gf.mul(hj, xj))
-            N[x, i * q + acc] = 1
-    classes = tuple(tuple(i * q + al for al in range(q)) for i in range(spec.r))
-    return IncidenceStructure(N), Resolution(classes)
+    G, _ = _m1_form(make_field(p, e), t, _m1_slopes(t, q))
+    return _resolvable_design(G, q)
 
 
 # ---------------------------------------------------------------------------
@@ -332,100 +333,24 @@ class DennistonGeometry:
             raise AssertionError("a point lies on a line whose intercept is outside U_c")
         return np.where(nonzero, wz - wz // k, 0)
 
-    # -- block enumeration: the scalar path, oracle of the class tables -----------
-
-    def hcd_list(self, c: int, d: int):
-        """The z in H with Tr(e_c z / (eta2^2 d^2)) = 1, a coset of a hyperplane
-        of H, in a fixed enumeration order."""
-        if d == 0:
-            raise ValueError("H_{c,d} is defined for nonzero intercepts")
-        gf = self.gf
-        beta = gf.div(self.e_coeff(c),
-                      gf.mul(gf.mul(self.eta2, self.eta2), gf.mul(d, d)))
-        mask = gf.dual_coords(beta) & (self.k - 1)
-        if mask == 0:
-            raise ValueError(f"intercept {d} is not in U_{c}")
-        piv = mask.bit_length() - 1
-        free = [i for i in range(self.l) if i != piv]
-        out = []
-        for counter in range(1 << (self.l - 1)):
-            z = 0
-            for idx, pos in enumerate(free):
-                if (counter >> idx) & 1:
-                    z |= 1 << pos
-            parity = bin(z & mask).count("1") & 1
-            if parity == 0:
-                z |= 1 << piv
-            out.append(z)
-        return out
-
-    def rcd_slopes(self, c: int, d: int):
-        """The slopes whose arc section meets L_{c,d}; exactly k of them,
-        with multiplicity structure two per z in H_{c,d}."""
-        if d == 0:
-            raise ValueError("R_{c,d} is defined for nonzero intercepts")
-        gf = self.gf
-        q = self.q
-        d2 = gf.mul(d, d)
-        e2sq = gf.mul(self.eta2, self.eta2)
-        slopes = []
-        for z in self.hcd_list(c, d):
-            if c != q and z == gf.mul(self.eta3, d2):
-                # degenerate quadratic: the linear root plus the vertical slope
-                ct = gf.div(gf.add(self.eta1, gf.mul(self.eta3, gf.mul(c, c))), self.eta2)
-                slopes.append(ct)
-                slopes.append(q)
-                continue
-            if c != q:
-                denom = gf.add(z, gf.mul(self.eta3, d2))
-                const = gf.div(
-                    gf.mul(gf.add(gf.mul(self.eta1, d2), gf.mul(gf.mul(c, c), z)), denom),
-                    gf.mul(e2sq, gf.mul(d2, d2)))
-                for w in gf.artin_schreier_roots(const):
-                    slopes.append(gf.div(gf.mul(gf.mul(self.eta2, d2), w), denom))
-            else:
-                const = gf.div(gf.mul(self.eta3, gf.add(gf.mul(self.eta1, d2), z)),
-                               gf.mul(e2sq, d2))
-                for w in gf.artin_schreier_roots(const):
-                    slopes.append(gf.div(gf.mul(self.eta2, w), self.eta3))
-        return slopes
-
     def block_points(self, c: int, d: int):
-        """The k arc points on the line L_{c,d}, in a fixed enumeration order."""
+        """The k arc points on the line L_{c,d}: row phi_uc_inv(c, d) of the
+        class table of c, mapped through phi_x."""
         key = (c, d)
-        cached = self._blocks.get(key)
-        if cached is not None:
-            return cached
-        gf = self.gf
-        q = self.q
-        pts = []
-        if d == 0:
-            pts.append((0, 0))
-            e = self.e_coeff(c)
-            for h in range(1, self.k):
-                x = gf.sqrt(gf.div(h, e))
-                pts.append((0, x) if c == q else (x, gf.mul(c, x)))
-        else:
-            for ct in self.rcd_slopes(c, d):
-                if c == q:
-                    pts.append((d, gf.mul(ct, d)))
-                elif ct == q:
-                    pts.append((0, d))
-                else:
-                    x = gf.div(d, gf.add(c, ct))
-                    pts.append((x, gf.mul(ct, x)))
-        if len(pts) != self.k or len(set(pts)) != self.k:
-            raise AssertionError(f"block ({c},{d}) enumerated {pts}")
-        pts = tuple(pts)
-        self._blocks[key] = pts
+        pts = self._blocks.get(key)
+        if pts is None:
+            row = self.class_table(c)[self.phi_uc_inv(c, d)]
+            pts = self._blocks[key] = tuple(self.phi_x(int(m)) for m in row)
         return pts
 
     # -- per-class block tables: the preimage machinery of g -----------------------
 
     def class_table(self, c: int) -> np.ndarray:
         """The (a, k) int32 point table of parallel class c: row j holds
-        phi_x_inv of the points of block (c, phi_uc(c, j)), in block_points
-        order.  Built on first use of the class, in one array pass."""
+        phi_x_inv of the k arc points on the line (c, phi_uc(c, j)).  Row 0
+        is the origin, then the points of slope c by h = 1, ..., k - 1; a row
+        j >= 1 lists its points two per element of H_{c,d}.  Built on first
+        use of the class, in one array pass."""
         table = self._class_tables.get(c)
         if table is None:
             if not 0 <= c <= self.q:
@@ -435,8 +360,9 @@ class DennistonGeometry:
         return table
 
     def _build_class_table(self, c: int) -> np.ndarray:
-        # the scalar phi_uc, hcd_list, rcd_slopes, block_points and phi_x_inv,
-        # element-wise over the a - 1 nonzero intercepts of the class
+        # phi_uc, then the points of each line, element-wise over the a - 1
+        # nonzero intercepts of the class; tests/test_families.py holds the
+        # scalar enumeration of H_{c,d}, R_{c,d} and the points as its oracle
         gf = self.gf
         F = gf.arrays()
         q, k, a, l = self.q, self.k, self.a, self.l
@@ -506,17 +432,12 @@ def denniston_point_set(geom: DennistonGeometry):
 
 def denniston_design(geom: DennistonGeometry):
     """The resolvable (v, 2^l, 1) BIBD of line sections of the arc, blocks
-    indexed (c, j) -> c*a + j with intercepts ordered by Phi_{U_c}."""
-    N = np.zeros((geom.v, geom.b), dtype=np.uint8)
-    for c in range(geom.q + 1):
-        for j in range(geom.a):
-            d = geom.phi_uc(c, j)
-            s = c * geom.a + j
-            for pt in geom.block_points(c, d):
-                N[geom.phi_x_inv(pt), s] = 1
-    classes = tuple(tuple(c * geom.a + j for j in range(geom.a))
-                    for c in range(geom.q + 1))
-    return IncidenceStructure(N), Resolution(classes)
+    indexed (c, j) -> c*a + j with intercepts ordered by Phi_{U_c}; built
+    from the class tables of g."""
+    G = np.empty((geom.v, geom.r), dtype=np.int64)
+    for c in range(geom.r):
+        G[geom.class_table(c), c] = np.arange(geom.a)[:, None]
+    return _resolvable_design(G, geom.a)
 
 
 def build_m2(t: int, l: int) -> Mosaic:
@@ -641,26 +562,14 @@ def build_m4(k: int, q: int, slopes=None) -> Mosaic:
 
 
 def td_design(k: int, q: int, slopes=None):
-    """The underlying (q, k, 1) TD and, when no vertical slope is kept, its
-    resolution into the point pencils {(e, *)}."""
-    spec = m4_spec(k, q, slopes)
-    p, e = prime_power(q)
-    gf = make_field(p, e)
-    N = np.zeros((spec.v, spec.b), dtype=np.uint8)
-    for ci, c in enumerate(spec.slopes):
-        for d in range(q):
-            x = ci * q + d
-            if c == q:
-                for s2 in range(q):
-                    N[x, d * q + s2] = 1
-            else:
-                for s1 in range(q):
-                    N[x, s1 * q + gf.add(gf.mul(c, s1), d)] = 1
+    """The underlying (q, k, 1) TD, member 0 of the M4 mosaic, and, when no
+    vertical slope is kept, its resolution into the point pencils {(e, *)}."""
+    M = build_m4(k, q, slopes)
     resolution = None
-    if q not in spec.slopes:
+    if q not in M.meta["slopes"]:
         classes = tuple(tuple(e1 * q + s2 for s2 in range(q)) for e1 in range(q))
         resolution = Resolution(classes)
-    return IncidenceStructure(N), resolution
+    return M.member(0), resolution
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,57 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert payload["ok"] is False and "witness" in payload
 
 
+def _read_member(path):
+    return np.loadtxt(path, delimiter=",", dtype=np.uint8, ndmin=2)
+
+
+def _write_member(path, N):
+    np.savetxt(path, N, delimiter=",", fmt="%d")
+
+
+def _uncover_one_row(tmp_path):
+    N = _read_member(tmp_path / "m1_member_1.csv")
+    N[0] = 0
+    _write_member(tmp_path / "m1_member_1.csv", N)
+
+
+def _empty_member_1(tmp_path):
+    # member 0 takes member 1's incidences: every pair stays covered once
+    N0 = _read_member(tmp_path / "m1_member_0.csv")
+    N1 = _read_member(tmp_path / "m1_member_1.csv")
+    _write_member(tmp_path / "m1_member_0.csv", N0 | N1)
+    _write_member(tmp_path / "m1_member_1.csv", np.zeros_like(N1))
+
+
+@pytest.mark.parametrize("tamper,reason,witness", [
+    (_uncover_one_row, "pair covered by wrong number of members", [0, 1, 0]),
+    (_empty_member_1, "empty member", [1]),
+], ids=["uncovered_pair", "empty_member"])
+def test_commands_reject_a_member_file_that_is_not_a_mosaic(tmp_path, capsys, tamper,
+                                                             reason, witness):
+    path = tmp_path / "m1.json"
+    run(capsys, "gen", "--family", "m1", "--t", "2", "--q", "2", "--members",
+        "--out", str(path))
+    tamper(tmp_path)
+    mosaic = ("--mosaic", str(path))
+    for argv in (("bounds", *mosaic, "--channel", "identity"),
+                 ("bounds", *mosaic, "--scenario", "pa", "--source", "independent"),
+                 ("hashprops", *mosaic),
+                 ("simulate", *mosaic, "--channel", "identity", "--trials", "20"),
+                 ("simulate", *mosaic, "--scenario", "pa", "--source", "independent",
+                  "--trials", "20"),
+                 ("exact", *mosaic, "--check", "prop41", "--trials", "2"),
+                 ("exact", *mosaic, "--check", "prop42", "--trials", "2"),
+                 ("rates", *mosaic)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        error = json.loads(err)["error"]
+        assert str(path) in error and reason in error and str(witness) in error, argv
+    code, out, _ = run(capsys, "verify", *mosaic)
+    payload = json.loads(out)
+    assert code == 1 and payload["reason"] == reason and payload["witness"] == witness
+
+
 def test_verify_family_build(capsys):
     code, out, _ = run(capsys, "verify", "--family", "m4", "--k", "3", "--q", "3")
     assert code == 0

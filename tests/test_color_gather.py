@@ -1,8 +1,9 @@
 """The color matrix as one gather over the class table G and the color table L.
 
 A mosaic with the resolvable form f(x, i a + beta) = L[beta, G[x, i]] builds
-F as ``L.T[G]``; every other mosaic fills F by calling f once per cell.  The
-oracle here is that per-cell fill through the scalar ``M.f``, compared as
+F as ``L.T[G]``; ``from_members`` and ``dual_mosaic`` take F from the member
+matrices and the base's F, and the rest fill F by calling f once per cell.
+The oracle here is that per-cell fill through the scalar ``M.f``, compared as
 int32 integer equality.
 """
 
@@ -97,19 +98,33 @@ def test_gather_matches_scalar_fill_on_m2_6_3_columns():
 
 
 def test_mosaics_without_the_form_keep_the_per_cell_fill():
+    # M4 with the vertical slope: f = s1 - d on a vertical line does not
+    # depend on beta = s2, so no color table fits and F is filled per cell
     vertical = [build_m4(k, q) for k, q in M4_GRID if k == q + 1]
     vertical.append(build_m4(3, 4, slopes=(0, 2, 4)))
     for M in vertical:
-        # f = s1 - d on a vertical line does not depend on beta = s2
         assert M._form is None
         assert np.array_equal(M.color_matrix(), scalar_color_matrix(M)), M
+
+
+def test_from_members_and_dual_mosaic_take_f_from_arrays():
     base = build_m1(2, 3)
-    for M in (from_members(base.members()), dual_mosaic(base)):
-        assert M._form is None
-        assert np.array_equal(M.color_matrix(), scalar_color_matrix(M))
-    assert base._colors is not None    # from base.members() above
-    assert np.array_equal(dual_mosaic(build_m2(3, 2)).color_matrix(),
-                          build_m2(3, 2).color_matrix().T)
+    members = base.members()
+    M = from_members(members)
+    # F is set from the member matrices when the mosaic is made
+    assert M._form is None and M._colors is not None
+    assert np.array_equal(M.color_matrix(),
+                          np.argmax(np.stack([D.N for D in members]), axis=0))
+    assert np.array_equal(M.color_matrix(), scalar_color_matrix(base))
+    for B in (build_m1(2, 3), build_m2(3, 2)):
+        calls = []
+        f = B._f
+        B._f = lambda x, s, f=f: calls.append((x, s)) or f(x, s)
+        D = dual_mosaic(B)
+        assert D._form is None
+        assert np.array_equal(D.color_matrix(), B.color_matrix().T)
+        assert calls == []
+        assert np.array_equal(D.color_matrix(), scalar_color_matrix(B).T)
 
 
 def test_m2_class_table_is_not_read_from_the_tables_of_g():

@@ -53,6 +53,26 @@ def test_m1_members_verify(t, q):
         assert verify_bibd(M.member(alpha), lam)
 
 
+@pytest.mark.parametrize("t,q", [(2, 3), (2, 5), (3, 3), (2, 9)])
+def test_ag_design_blocks_are_hyperplanes(t, q):
+    from designmosaics.families import _m1_slopes
+    from designmosaics.field import make_field, prime_power
+    gf = make_field(*prime_power(q))
+    D, R = ag_design(t, q)
+    assert R.classes == tuple(tuple(range(i * q, (i + 1) * q)) for i in range(len(R.classes)))
+    for i, h in enumerate(_m1_slopes(t, q)):
+        for alpha in range(q):
+            hyperplane = []
+            for x in range(q ** t):
+                coords = [x // q ** j % q for j in range(t)]
+                dot = 0
+                for hj, xj in zip(h, coords):
+                    dot = gf.add(dot, gf.mul(hj, xj))
+                if dot == alpha:
+                    hyperplane.append(x)
+            assert D.block_points(i * q + alpha).tolist() == hyperplane
+
+
 def test_m1_corrected_lambda():
     # the pair count forced by r(k-1) = lambda(v-1); equals q^(t-2) iff t = 2
     assert m1_spec(2, 5).lam == 1
@@ -61,6 +81,92 @@ def test_m1_corrected_lambda():
 
 
 # -- Denniston geometry ----------------------------------------------------------
+
+# The scalar block enumeration of the Denniston arc: H_{c,d}, then the slopes
+# R_{c,d} through the Artin-Schreier roots, then the points.  It is the oracle
+# that the class tables, and so g, denniston_design and block_points, are
+# checked against.
+
+def hcd_list(geom, c, d):
+    """The z in H with Tr(e_c z / (eta2^2 d^2)) = 1, a coset of a hyperplane
+    of H, in a fixed enumeration order."""
+    if d == 0:
+        raise ValueError("H_{c,d} is defined for nonzero intercepts")
+    gf = geom.gf
+    beta = gf.div(geom.e_coeff(c),
+                  gf.mul(gf.mul(geom.eta2, geom.eta2), gf.mul(d, d)))
+    mask = gf.dual_coords(beta) & (geom.k - 1)
+    if mask == 0:
+        raise ValueError(f"intercept {d} is not in U_{c}")
+    piv = mask.bit_length() - 1
+    free = [i for i in range(geom.l) if i != piv]
+    out = []
+    for counter in range(1 << (geom.l - 1)):
+        z = 0
+        for idx, pos in enumerate(free):
+            if (counter >> idx) & 1:
+                z |= 1 << pos
+        parity = bin(z & mask).count("1") & 1
+        if parity == 0:
+            z |= 1 << piv
+        out.append(z)
+    return out
+
+
+def rcd_slopes(geom, c, d):
+    """The slopes whose arc section meets L_{c,d}; exactly k of them,
+    with multiplicity structure two per z in H_{c,d}."""
+    if d == 0:
+        raise ValueError("R_{c,d} is defined for nonzero intercepts")
+    gf = geom.gf
+    q = geom.q
+    eta1, eta2, eta3 = geom.eta1, geom.eta2, geom.eta3
+    d2 = gf.mul(d, d)
+    e2sq = gf.mul(eta2, eta2)
+    slopes = []
+    for z in hcd_list(geom, c, d):
+        if c != q and z == gf.mul(eta3, d2):
+            # degenerate quadratic: the linear root plus the vertical slope
+            slopes.append(gf.div(gf.add(eta1, gf.mul(eta3, gf.mul(c, c))), eta2))
+            slopes.append(q)
+            continue
+        if c != q:
+            denom = gf.add(z, gf.mul(eta3, d2))
+            const = gf.div(
+                gf.mul(gf.add(gf.mul(eta1, d2), gf.mul(gf.mul(c, c), z)), denom),
+                gf.mul(e2sq, gf.mul(d2, d2)))
+            for w in gf.artin_schreier_roots(const):
+                slopes.append(gf.div(gf.mul(gf.mul(eta2, d2), w), denom))
+        else:
+            const = gf.div(gf.mul(eta3, gf.add(gf.mul(eta1, d2), z)), gf.mul(e2sq, d2))
+            for w in gf.artin_schreier_roots(const):
+                slopes.append(gf.div(gf.mul(eta2, w), eta3))
+    return slopes
+
+
+def scalar_block_points(geom, c, d):
+    """The k arc points on the line L_{c,d}, in the class tables' order."""
+    gf = geom.gf
+    q = geom.q
+    pts = []
+    if d == 0:
+        pts.append((0, 0))
+        e = geom.e_coeff(c)
+        for h in range(1, geom.k):
+            x = gf.sqrt(gf.div(h, e))
+            pts.append((0, x) if c == q else (x, gf.mul(c, x)))
+    else:
+        for ct in rcd_slopes(geom, c, d):
+            if c == q:
+                pts.append((d, gf.mul(ct, d)))
+            elif ct == q:
+                pts.append((0, d))
+            else:
+                x = gf.div(d, gf.add(c, ct))
+                pts.append((x, gf.mul(ct, x)))
+    assert len(pts) == geom.k == len(set(pts)), (c, d, pts)
+    return tuple(pts)
+
 
 @pytest.mark.parametrize("t,l", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
 def test_denniston_cardinality_and_line_sections(t, l):
@@ -87,18 +193,18 @@ def test_denniston_uc_and_blocks_brute_force(t, l):
     for c in range(geom.q + 1):
         uc = [geom.phi_uc(c, j) for j in range(geom.a)]
         assert len(uc) == geom.a and 0 in uc
-        brute = set()
+        brute = {}
         for d in gf.elements():
             if c == geom.q:
                 line = {(d, y) for y in gf.elements()}
             else:
                 line = {(x, gf.add(gf.mul(c, x), d)) for x in gf.elements()}
             if line & arc:
-                brute.add(d)
-        assert set(uc) == brute
+                brute[d] = line & arc
+        assert set(uc) == set(brute)
         for d in uc:
             pts = geom.block_points(c, d)
-            assert len(pts) == geom.k
+            assert len(pts) == geom.k and set(pts) == brute[d]
 
 
 def test_denniston_rcd_slopes():
@@ -106,10 +212,10 @@ def test_denniston_rcd_slopes():
     for c in range(geom.q + 1):
         for j in range(1, geom.a):
             d = geom.phi_uc(c, j)
-            slopes = geom.rcd_slopes(c, d)
+            slopes = rcd_slopes(geom, c, d)
             # exactly k slopes, all distinct, two per z in H_{c,d}
             assert len(slopes) == geom.k == len(set(slopes))
-            zs = geom.hcd_list(c, d)
+            zs = hcd_list(geom, c, d)
             assert len(zs) == geom.k // 2
             # membership: every listed slope's section really meets the line
             for ct in slopes:
@@ -121,7 +227,7 @@ def test_denniston_hcd_trace_condition():
     gf = geom.gf
     c, j = 2, 3
     d = geom.phi_uc(c, j)
-    for z in geom.hcd_list(c, d):
+    for z in hcd_list(geom, c, d):
         val = gf.div(gf.mul(geom.e_coeff(c), z),
                      gf.mul(gf.mul(geom.eta2, geom.eta2), gf.mul(d, d)))
         assert z < geom.k and gf.trace(val) == 1
@@ -130,10 +236,13 @@ def test_denniston_hcd_trace_condition():
 def test_denniston_errors():
     geom = DennistonGeometry(2, 1)
     with pytest.raises(ValueError):
-        geom.rcd_slopes(0, 0)          # d = 0 block has no slope list
+        rcd_slopes(geom, 0, 0)         # d = 0 block has no slope list
     bad_d = next(d for d in geom.gf.elements() if d not in [geom.phi_uc(0, j) for j in range(geom.a)])
     with pytest.raises(ValueError):
-        geom.hcd_list(0, bad_d)
+        hcd_list(geom, 0, bad_d)
+    with pytest.raises(ValueError):
+        geom.block_points(0, bad_d)    # the line misses the arc
+    assert geom._blocks == {}
     with pytest.raises(ValueError):
         DennistonGeometry(2, 3)
     with pytest.raises(ValueError):
@@ -197,7 +306,9 @@ def test_m2_block_point_sets_lie_on_arc_and_line():
     for c in range(geom.q + 1):
         for j in range(geom.a):
             d = geom.phi_uc(c, j)
-            for (px, py) in geom.block_points(c, d):
+            pts = scalar_block_points(geom, c, d)
+            assert geom.block_points(c, d) == pts
+            for (px, py) in pts:
                 assert geom.quadratic_form(px, py) < geom.k
                 if c == geom.q:
                     assert px == d
@@ -206,7 +317,7 @@ def test_m2_block_point_sets_lie_on_arc_and_line():
 
 
 def _scalar_block_row(geom, c, j):
-    return [geom.phi_x_inv(p) for p in geom.block_points(c, geom.phi_uc(c, j))]
+    return [geom.phi_x_inv(p) for p in scalar_block_points(geom, c, geom.phi_uc(c, j))]
 
 
 # the acceptance grid's M2 and M3 rungs, (t, l, u) with u = None for M2
@@ -223,7 +334,7 @@ def test_class_tables_match_scalar_block_enumeration(t, l, u):
         assert table.dtype == np.int32 and table.shape == (geom.a, geom.k)
         for j in range(geom.a):
             assert table[j].tolist() == _scalar_block_row(geom, c, j)
-    # g reads the tables; the scalar path composes phi_uc, block_points, phi_x_inv
+    # g reads the tables; the scalar path composes phi_uc, the block points, phi_x_inv
     uu = 1 if u is None else u
     for s in range(M.b):
         i, beta = divmod(s, geom.a)
@@ -342,6 +453,34 @@ def test_m4_td_design_resolution():
     assert R_full is None
     res = verify_gdd(D_full, [tuple(range(i * 4, (i + 1) * 4)) for i in range(5)], 0, 1)
     assert res
+
+
+def _td_loop(k, q, slopes=None):
+    """The TD incidence by one loop over lines and points: line (c, d) lies
+    on the point (s1, c s1 + d), the vertical line x = d on (d, s2)."""
+    from designmosaics.field import make_field, prime_power
+    gf = make_field(*prime_power(q))
+    spec = m4_spec(k, q, slopes)
+    N = np.zeros((spec.v, spec.b), dtype=np.uint8)
+    for ci, c in enumerate(spec.slopes):
+        for d in range(q):
+            x = ci * q + d
+            for s in range(q):
+                N[x, d * q + s if c == q else s * q + gf.add(gf.mul(c, s), d)] = 1
+    return N
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_td_design_matches_the_incidence_loop(q):
+    cases = [(k, None) for k in range(2, q + 2)] + [(2, (0, q)), (3, (q, 1, 0))]
+    for k, slopes in cases:
+        D, R = td_design(k, q, slopes)
+        assert D.N.dtype == np.uint8
+        assert np.array_equal(D.N, _td_loop(k, q, slopes)), (k, slopes)
+        vertical = q in m4_spec(k, q, slopes).slopes
+        assert (R is None) == vertical
+        if not vertical:
+            assert R.classes == tuple(tuple(range(e * q, (e + 1) * q)) for e in range(q))
 
 
 def test_m4_two_path_equivalence_char2():
