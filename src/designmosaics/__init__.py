@@ -29,6 +29,7 @@ from .mosaics import (
     Mosaic,
     Quasigroup,
     RateReport,
+    certify,
     construct_from_resolvable,
     dual_mosaic,
     from_functional_form,

@@ -2,14 +2,15 @@
 identities, hash properties and simulation, with JSON output throughout.
 
 Exit codes: 0 success, 1 property-check failure (with a witness in the JSON),
-2 parameter/validation errors, unreadable files included.
+2 parameter/validation errors, unreadable files included, each naming its input.
 
 ``main`` builds its argument parser on its first call and reuses it for every
 later call in the same process; each call parses into a fresh namespace.
 The commands build F through ``Mosaic.color_matrix``: one gather over the
 class and color tables for the families M1, M2, M3 and M4 without the vertical
 slope, and a per-cell fill of f for M4 with it.  Loaded member files set F
-directly from the member matrices.
+directly from the member matrices.  Any loaded file is certified as ``verify``
+certifies it (``mosaics.certify``); one that fails exits 2 on other commands.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .designs import params_to_json, verify_bibd, verify_gdd
+from .designs import params_to_json
 from .families import FAMILY_BUILDERS, build_family
 from .hashprops import hashprops_report
-from .mosaics import rates, verify_functional_form, verify_mosaic
+from .mosaics import certify, rates
 from .security import (
     pa_report,
     prop41_check,
@@ -68,8 +69,6 @@ def _json_default(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     return str(obj)
 
 
@@ -78,18 +77,35 @@ def _family_params(args) -> dict:
 
 
 def _build(args):
-    """The mosaic of --family or --mosaic.  A loaded file that is not a mosaic
-    is a validation error, except for ``verify``, which reports its witness."""
-    if getattr(args, "mosaic", None):
-        M = load_mosaic(args.mosaic)
-        if args.command != "verify":
-            res = verify_mosaic(M)
-            if not res:
-                raise CliError(f"{args.mosaic} is not a mosaic: {res.reason} {list(res.witness)}")
+    """The mosaic of --family or --mosaic.  A loaded file that fails ``certify``
+    is a validation error, except for ``verify``, which reports the failure."""
+    path = getattr(args, "mosaic", None)
+    if path:
+        try:
+            M = load_mosaic(path)
+            cert = args.command == "verify" or certify(M)
+        except (ValueError, OSError) as exc:
+            raise CliError(f"--mosaic {path}: {exc}") from None
+        if not cert:
+            where = "" if cert.member is None else f" at member {cert.member}"
+            raise CliError(f"--mosaic {path}: the {cert.stage} check fails{where}: "
+                           f"{cert.failure.reason} {list(cert.failure.witness)}")
         return M
     if not args.family:
         raise CliError("either --family with parameters or --mosaic is required")
     return build_family(args.family, **_family_params(args))
+
+
+def _read(flag, path, read, v):
+    """``read(path)``, with a failure or a row count other than v reported as
+    an error of ``flag``."""
+    try:
+        law = read(path)
+    except (ValueError, OSError) as exc:
+        raise CliError(f"{flag} {path}: {exc}") from None
+    if law.v != v:
+        raise CliError(f"{flag} {path}: {law.v} rows, but the mosaic has {v} points")
+    return law
 
 
 def _parse_channel(spec, v, rng):
@@ -102,9 +118,11 @@ def _parse_channel(spec, v, rng):
     if spec == "random":
         return random_channel(v, max(2, v), rng)
     if spec.startswith("symmetric"):
-        eps = float(spec.split(":", 1)[1]) if ":" in spec else 0.1
-        return symmetric_channel(v, eps)
-    return channel_from_csv(spec)
+        try:
+            return symmetric_channel(v, float(spec.split(":", 1)[1]) if ":" in spec else 0.1)
+        except ValueError as exc:
+            raise CliError(f"--channel {spec}: {exc}") from None
+    return _read("--channel", spec, channel_from_csv, v)
 
 
 def _parse_source(spec, v, rng):
@@ -114,7 +132,7 @@ def _parse_source(spec, v, rng):
         return random_source(v, max(2, v), rng)
     if spec == "independent":
         return independent_source(v, max(2, v))
-    return source_from_csv(spec)
+    return _read("--source", spec, source_from_csv, v)
 
 
 def _parse_pa(spec, a):
@@ -137,63 +155,23 @@ def _parse_pa(spec, a):
     return vals
 
 
-def _verify_members(M) -> dict:
-    checks = {}
-    if M.member_kind == "bibd":
-        for alpha in range(M.a):
-            res = verify_bibd(M.member(alpha), M.member_params.lam)
-            if not res:
-                return {"ok": False, "member": alpha, "reason": res.reason,
-                        "witness": list(res.witness)}
-        checks["members"] = f"all {M.a} verify as BIBDs"
-    elif M.member_kind == "gdd":
-        for alpha in range(M.a):
-            res = verify_gdd(M.member(alpha), M.point_classes,
-                             M.member_params.lambda1, M.member_params.lambda2)
-            if not res:
-                return {"ok": False, "member": alpha, "reason": res.reason,
-                        "witness": list(res.witness)}
-        checks["members"] = f"all {M.a} verify as GDDs"
-    checks["ok"] = True
-    return checks
-
-
 def cmd_gen(args):
     M = _build(args)
     head = save_mosaic(M, args.out or "mosaic.json", members=args.members)
-    print(json.dumps({"written": args.out or "mosaic.json", "header": head},
-                     indent=2, default=_json_default))
+    _emit({"written": args.out or "mosaic.json", "header": head}, None)
     return 0
 
 
 def cmd_verify(args):
     M = _build(args)
     result = {"params": _family_params(args), "v": M.v, "b": M.b, "a": M.a, "k": M.k}
-    res = verify_mosaic(M)
-    if not res:
-        result.update({"ok": False, "stage": "mosaic", "reason": res.reason,
-                       "witness": list(res.witness)})
-        _emit(result, args.out)
-        return 1
-    members = _verify_members(M)
-    result["member_check"] = members
-    if not members.get("ok"):
-        result["ok"] = False
-        _emit(result, args.out)
-        return 1
-    if M._g is not None:
-        ff = verify_functional_form(M)
-        if not ff:
-            result.update({"ok": False, "stage": "functional-form", "reason": ff.reason,
-                           "witness": list(ff.witness)})
-            _emit(result, args.out)
-            return 1
-        result["functional_form"] = "consistent"
-    result["ok"] = True
-    result["member_params"] = params_to_json(M.member_params) if M.member_params else None
-    result["inputs_hash"] = content_hash(result)
+    cert = certify(M)
+    result.update(cert.report)
+    if cert:
+        result["member_params"] = params_to_json(M.member_params) if M.member_params else None
+        result["inputs_hash"] = content_hash(result)
     _emit(result, args.out)
-    return 0
+    return 0 if cert else 1
 
 
 def cmd_rates(args):
@@ -270,7 +248,7 @@ def cmd_simulate(args):
     M = _build(args)
     rng = np.random.default_rng(args.seed)
     cfg = SimConfig(mosaic=M, trials=args.trials, seed=args.seed,
-                    significance=args.significance)
+                    batches=min(10, args.trials), significance=args.significance)
     if args.scenario == "wiretap":
         cfg.channel = _parse_channel(args.channel, M.v, rng)
         cfg.p_a = _parse_pa(args.pa, M.a)

@@ -170,7 +170,7 @@ def verify_bibd(D: IncidenceStructure, lam: int):
 
 
 def _class_matrix(v, partition):
-    classes = [tuple(int(x) for x in cls) for cls in partition]
+    classes = [tuple(int(x) for x in cls) for cls in partition or ()]
     flat = [x for cls in classes for x in cls]
     if sorted(flat) != list(range(v)):
         raise ValueError("partition does not cover the point set exactly once")
@@ -241,7 +241,8 @@ def classify_gdd(params: GDDParams) -> str:
 
 
 def check_affine(D: IncidenceStructure, resolution: Resolution) -> AffineReport:
-    """Affinity of a resolvable BIBD: Bose equality b = v + r - 1 plus constant mu."""
+    """Affinity of a resolvable BIBD: Bose equality b = v + r - 1 plus constant mu,
+    the size of every non-parallel block intersection, read from the block gram."""
     tact = verify_tactical(D)
     if not tact:
         return AffineReport(False, None, tact.reason)
@@ -250,23 +251,15 @@ def check_affine(D: IncidenceStructure, resolution: Resolution) -> AffineReport:
         return AffineReport(False, None, f"b = {D.b} exceeds the Bose bound {bose}")
     if D.b < bose:
         return AffineReport(False, None, f"b = {D.b} below the Bose bound {bose}; not a resolvable BIBD")
-    class_of = {}
+    class_of = np.full(D.b, -1)
     for ci, cls in enumerate(resolution.classes):
-        for s in cls:
-            class_of[s] = ci
-    cols = D.N.astype(bool)
-    mu = None
-    for s in range(D.b):
-        for t in range(s + 1, D.b):
-            if class_of[s] == class_of[t]:
-                continue
-            inter = int((cols[:, s] & cols[:, t]).sum())
-            if mu is None:
-                mu = inter
-            elif inter != mu:
-                return AffineReport(False, None,
-                                    f"non-parallel blocks {s},{t} meet in {inter} points, expected {mu}")
-    return AffineReport(True, mu)
+        class_of[list(cls)] = ci
+    s, t = np.nonzero(np.triu(class_of[:, None] != class_of[None, :], 1))
+    inter = D.dual().gram()[s, t]     # the non-parallel pairs s < t, in (s, t) order
+    for i in np.flatnonzero(inter != inter[:1])[:1]:
+        return AffineReport(False, None, f"non-parallel blocks {s[i]},{t[i]} meet in "
+                                         f"{inter[i]} points, expected {inter[0]}")
+    return AffineReport(True, int(inter[0]) if inter.size else None)
 
 
 # ---------------------------------------------------------------------------

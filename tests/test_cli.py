@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +101,91 @@ def test_commands_reject_a_member_file_that_is_not_a_mosaic(tmp_path, capsys, ta
     code, out, _ = run(capsys, "verify", *mosaic)
     payload = json.loads(out)
     assert code == 1 and payload["reason"] == reason and payload["witness"] == witness
+
+
+def _swap_point_0_colors(tmp_path):
+    # point 0 takes color 1 on its first color-0 block and color 0 on its
+    # first color-1 block: every pair stays covered once, but member 0 then
+    # has blocks of sizes 3 and 1
+    N0 = _read_member(tmp_path / "m1_member_0.csv")
+    N1 = _read_member(tmp_path / "m1_member_1.csv")
+    s0, s1 = np.flatnonzero(N0[0])[0], np.flatnonzero(N1[0])[0]
+    N0[0, [s0, s1]] = 0, 1
+    N1[0, [s0, s1]] = 1, 0
+    _write_member(tmp_path / "m1_member_0.csv", N0)
+    _write_member(tmp_path / "m1_member_1.csv", N1)
+
+
+def test_commands_reject_a_member_file_whose_members_are_not_designs(tmp_path, capsys):
+    path = tmp_path / "m1.json"
+    run(capsys, "gen", "--family", "m1", "--t", "2", "--q", "2", "--members",
+        "--out", str(path))
+    _swap_point_0_colors(tmp_path)
+    mosaic = ("--mosaic", str(path))
+    witness = ["column", 1, 3, 1]
+    for argv in (("bounds", *mosaic, "--channel", "identity"),
+                 ("bounds", *mosaic, "--scenario", "pa", "--source", "independent"),
+                 ("hashprops", *mosaic),
+                 ("simulate", *mosaic, "--channel", "identity", "--trials", "20"),
+                 ("simulate", *mosaic, "--scenario", "pa", "--source", "independent",
+                  "--trials", "20"),
+                 ("exact", *mosaic, "--check", "prop41", "--trials", "2"),
+                 ("exact", *mosaic, "--check", "prop42", "--trials", "2"),
+                 ("rates", *mosaic)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        error = json.loads(err)["error"]
+        assert (str(path) in error and "members check" in error and "member 0" in error
+                and "nonconstant block size" in error and str(witness) in error), argv
+    # verify reports the failure itself, with the member check's witness
+    code, out, _ = run(capsys, "verify", *mosaic)
+    payload = json.loads(out)
+    assert code == 1 and payload["ok"] is False and "stage" not in payload
+    assert payload["member_check"] == {"ok": False, "member": 0,
+                                       "reason": "nonconstant block size", "witness": witness}
+
+
+@pytest.mark.parametrize("argv,flag,content", [
+    (("bounds", "--channel", "symmetric:abc"), "--channel", None),
+    (("bounds", "--channel", "{file}"), "--channel", "0.5,0.5\n0.5,0.5\n"),
+    (("bounds", "--channel", "{file}"), "--channel", "a,b\n"),
+    (("bounds", "--channel", "{file}"), "--channel", "nan,1\n"),
+    (("exact", "--check", "prop41", "--channel", "{file}"), "--channel", "1\n1\n"),
+    (("bounds", "--scenario", "pa", "--source", "{file}"), "--source", "0.5\n0.5\n0.5\n0.5\n"),
+    (("bounds", "--scenario", "pa", "--source", "{file}"), "--source", "0.5,0.5\n"),
+    (("hashprops", "--mosaic", "{file}"), "--mosaic", "{} {}"),
+], ids=["unparsable_crossover", "channel_size", "channel_text", "channel_nan",
+        "exact_channel_size", "source_sum", "source_size", "mosaic_not_json"])
+def test_bad_inputs_name_their_flag_and_file(tmp_path, capsys, argv, flag, content):
+    name = str(tmp_path / "input")
+    if content is not None:
+        Path(name).write_text(content)
+    argv = [arg.replace("{file}", name) for arg in argv]
+    family = () if flag == "--mosaic" else ("--family", "m1", "--t", "2", "--q", "2")
+    code, out, err = run(capsys, argv[0], *family, *argv[1:])
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith(f"{flag} {argv[argv.index(flag) + 1]}: "), error
+
+
+@pytest.mark.parametrize("trials", [1, 5])
+def test_simulate_runs_fewer_than_ten_trials(capsys, trials):
+    code, out, _ = run(capsys, "simulate", "--family", "m2", "--t", "3", "--l", "2",
+                       "--channel", "identity", "--trials", str(trials))
+    assert code == 0 and json.loads(out)["trials"] == trials
+
+
+def test_a_gdd_file_without_point_classes_is_a_validation_error(tmp_path, capsys):
+    from designmosaics.serialize import _header_hash
+    path = tmp_path / "m4.json"
+    save_mosaic(build_m4(2, 3), path, members=True)
+    head = json.loads(path.read_text())
+    head["member_params"]["partition"] = head["point_classes"] = None
+    head["content_hash"] = _header_hash(head)
+    path.write_text(json.dumps(head))
+    for command in ("hashprops", "verify"):
+        code, out, err = run(capsys, command, "--mosaic", str(path))
+        assert code == 2 and out == "" and "partition" in json.loads(err)["error"], command
 
 
 def test_verify_family_build(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from designmosaics.designs import (
+    AffineReport,
     BIBDParams,
     CheckFailure,
     GDDParams,
@@ -158,6 +159,66 @@ def test_not_affine_when_bose_strict():
     assert verify_bibd(D, 1)
     rep = check_affine(D, R)
     assert not rep.affine and "Bose" in rep.reason
+
+
+def check_affine_loop(D, resolution):
+    """The pair loop that ``check_affine`` replaced, kept as its oracle."""
+    tact = verify_tactical(D)
+    if not tact:
+        return AffineReport(False, None, tact.reason)
+    bose = D.v + tact.r - 1
+    if D.b > bose:
+        return AffineReport(False, None, f"b = {D.b} exceeds the Bose bound {bose}")
+    if D.b < bose:
+        return AffineReport(False, None, f"b = {D.b} below the Bose bound {bose}; not a resolvable BIBD")
+    class_of = {}
+    for ci, cls in enumerate(resolution.classes):
+        for s in cls:
+            class_of[s] = ci
+    cols = D.N.astype(bool)
+    mu = None
+    for s in range(D.b):
+        for t in range(s + 1, D.b):
+            if class_of[s] == class_of[t]:
+                continue
+            inter = int((cols[:, s] & cols[:, t]).sum())
+            if mu is None:
+                mu = inter
+            elif inter != mu:
+                return AffineReport(False, None,
+                                    f"non-parallel blocks {s},{t} meet in {inter} points, expected {mu}")
+    return AffineReport(True, mu)
+
+
+def _exchange_points(D, R, ci, rng):
+    """D with one point of each of two blocks of class ci exchanged: still
+    tactical and resolved by R, with b = v + r - 1, but no longer affine."""
+    s, t = rng.choice(R.classes[ci], size=2, replace=False)
+    N = D.N.copy()
+    x, y = rng.choice(np.flatnonzero(N[:, s])), rng.choice(np.flatnonzero(N[:, t]))
+    N[[x, y], s] = 0, 1
+    N[[x, y], t] = 1, 0
+    return IncidenceStructure(N)
+
+
+def test_check_affine_matches_the_pair_loop():
+    from designmosaics.families import DennistonGeometry, denniston_design
+    rng = np.random.default_rng(11)
+    cases = [ag_design(t, q) for t, q in [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5), (3, 3)]]
+    cases.append(denniston_design(DennistonGeometry(2, 1)))      # K6: b exceeds Bose
+    cases.append(denniston_design(DennistonGeometry(2, 2)))      # AG(2, 4)
+    perturbed = []
+    for t, q in [(2, 3), (3, 2), (2, 4), (3, 3)]:
+        D, R = ag_design(t, q)
+        for ci in (0, len(R.classes) - 1):
+            P = _exchange_points(D, R, ci, rng)
+            assert verify_resolution(P, R.classes)
+            perturbed.append((P, R))
+    for D, R in cases + perturbed:
+        assert check_affine(D, R) == check_affine_loop(D, R)
+    for D, R in perturbed:
+        rep = check_affine(D, R)
+        assert not rep.affine and rep.reason.startswith("non-parallel blocks")
 
 
 def test_incidence_gram():

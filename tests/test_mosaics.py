@@ -11,6 +11,7 @@ from designmosaics.mosaics import (
     FieldAdditiveQuasigroup,
     Mosaic,
     Quasigroup,
+    certify,
     construct_from_resolvable,
     dual_mosaic,
     from_functional_form,
@@ -217,6 +218,46 @@ def test_verify_functional_form_catches_wrong_color():
     bad = Mosaic(M.v, M.b, M.a, bad_f, M.g, k=M.k)
     res = verify_functional_form(bad)
     assert not res
+
+
+def test_certify_stops_at_the_first_failed_stage():
+    M = build_m1(2, 2)
+    cert = certify(M)
+    assert cert and cert.stage is None and cert.failure is None
+    assert list(cert.report.items()) == [
+        ("member_check", {"members": "all 2 verify as BIBDs", "ok": True}),
+        ("functional_form", "consistent"), ("ok", True)]
+    # without member parameters there is no member stage, without g no (f, g) stage
+    assert certify(from_members(M.members())).report == {"member_check": {"ok": True}, "ok": True}
+
+    D, _ = ag_design(2, 2)
+    cert = certify(from_members([D, D], member_params=M.member_params))
+    assert not cert and (cert.stage, cert.member) == ("mosaic", None)
+    assert list(cert.report.items()) == [
+        ("ok", False), ("stage", "mosaic"),
+        ("reason", "pair covered by wrong number of members"), ("witness", [0, 0, 2])]
+
+    F = M.color_matrix().copy()
+    s0, s1 = np.flatnonzero(F[0] == 0)[0], np.flatnonzero(F[0] == 1)[0]
+    F[0, [s0, s1]] = 1, 0                   # point 0 exchanges its colors on two blocks
+    bad = from_members([IncidenceStructure(F == alpha) for alpha in range(M.a)],
+                       member_params=M.member_params)
+    assert verify_mosaic(bad)
+    cert = certify(bad)
+    assert not cert and cert.stage == "members" and cert.member == 0
+    assert cert.report == {"member_check": {"ok": False, "member": 0, "reason": cert.failure.reason,
+                                            "witness": list(cert.failure.witness)}, "ok": False}
+
+    def repeating_g(s, alpha, kappa):
+        return M.g(s, alpha, 0)
+
+    cert = certify(Mosaic(M.v, M.b, M.a, M.f, repeating_g, k=M.k, member_params=M.member_params))
+    x = M.g(0, 0, 0)
+    assert not cert and (cert.stage, cert.member) == ("functional-form", None)
+    assert list(cert.report.items()) == [
+        ("member_check", {"members": "all 2 verify as BIBDs", "ok": True}), ("ok", False),
+        ("stage", "functional-form"), ("reason", "preimage enumerator repeats a point"),
+        ("witness", [0, 0, x])]
 
 
 # -- duals, sums, point multiples ---------------------------------------------
