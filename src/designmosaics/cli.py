@@ -9,8 +9,8 @@ later call in the same process; each call parses into a fresh namespace.
 The commands build F through ``Mosaic.color_matrix``: one gather over the
 class and color tables for the families M1, M2, M3 and M4 without the vertical
 slope, and a per-cell fill of f for M4 with it.  Loaded member files set F
-directly from the member matrices.  Any loaded file is certified as ``verify``
-certifies it (``mosaics.certify``); one that fails exits 2 on other commands.
+directly from the member matrices, and are certified as ``verify`` certifies
+them (``mosaics.certify``); a file that fails exits 2 on other commands.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ def _json_default(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, tuple):
+        return list(obj)
     return str(obj)
 
 
@@ -77,19 +79,23 @@ def _family_params(args) -> dict:
 
 
 def _build(args):
-    """The mosaic of --family or --mosaic.  A loaded file that fails ``certify``
-    is a validation error, except for ``verify``, which reports the failure."""
+    """The mosaic of --family or --mosaic.  A file of member matrices that fails
+    ``certify`` is a validation error, except for ``verify``, which reports the
+    failure.  A header without member files is rebuilt by ``build_family``, as
+    --family is, and is not certified again."""
     path = getattr(args, "mosaic", None)
     if path:
         try:
             M = load_mosaic(path)
-            cert = args.command == "verify" or certify(M)
+            # of the loaded mosaics, only those read from member files lack g
+            fail = args.command != "verify" and M._g is None and certify(M)
         except (ValueError, OSError) as exc:
             raise CliError(f"--mosaic {path}: {exc}") from None
-        if not cert:
-            where = "" if cert.member is None else f" at member {cert.member}"
-            raise CliError(f"--mosaic {path}: the {cert.stage} check fails{where}: "
-                           f"{cert.failure.reason} {list(cert.failure.witness)}")
+        if fail:
+            stage, member, res = fail
+            where = "" if member is None else f" at member {member}"
+            raise CliError(f"--mosaic {path}: the {stage} check fails{where}: "
+                           f"{res.reason} {list(res.witness)}")
         return M
     if not args.family:
         raise CliError("either --family with parameters or --mosaic is required")
@@ -158,20 +164,33 @@ def _parse_pa(spec, a):
 def cmd_gen(args):
     M = _build(args)
     head = save_mosaic(M, args.out or "mosaic.json", members=args.members)
-    _emit({"written": args.out or "mosaic.json", "header": head}, None)
+    print(json.dumps({"written": args.out or "mosaic.json", "header": head},
+                     indent=2, default=_json_default))
     return 0
 
 
 def cmd_verify(args):
     M = _build(args)
     result = {"params": _family_params(args), "v": M.v, "b": M.b, "a": M.a, "k": M.k}
-    cert = certify(M)
-    result.update(cert.report)
-    if cert:
+    fail = certify(M)
+    stage, member, res = fail or (None, None, None)
+    why = fail and {"reason": res.reason, "witness": list(res.witness)}
+    if stage == "members":
+        result.update(member_check={"ok": False, "member": member, **why}, ok=False)
+    elif stage != "mosaic":
+        kind = M.member_kind
+        result["member_check"] = ({"members": f"all {M.a} verify as {kind.upper()}s", "ok": True}
+                                  if kind else {"ok": True})
+    if stage in ("mosaic", "functional-form"):
+        result.update(ok=False, stage=stage, **why)
+    elif not fail:
+        if M._g is not None:
+            result["functional_form"] = "consistent"
+        result["ok"] = True
         result["member_params"] = params_to_json(M.member_params) if M.member_params else None
         result["inputs_hash"] = content_hash(result)
     _emit(result, args.out)
-    return 0 if cert else 1
+    return 1 if fail else 0
 
 
 def cmd_rates(args):

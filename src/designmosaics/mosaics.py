@@ -256,44 +256,25 @@ def verify_functional_form(M: Mosaic):
     return MosaicCert(M.v, M.b, M.a, M.k)
 
 
-class Certification:
-    """What :func:`certify` found, falsy when a check failed: its ``stage``
-    ('mosaic', 'members' or 'functional-form'), ``failure`` and, at the member
-    stage, the failed ``member``; ``report`` is the JSON ``verify`` prints."""
-
-    # a plain class: @dataclass would compile its generated methods at import
-    def __init__(self, report, stage=None, failure=None, member=None):
-        self.report, self.stage, self.failure, self.member = report, stage, failure, member
-
-    def __bool__(self):
-        return self.failure is None
-
-
-def certify(M: Mosaic) -> Certification:
-    """Check M up to the first failure: :func:`verify_mosaic`, each member by
-    ``verify_bibd`` or ``verify_gdd`` against ``member_params``, then
-    :func:`verify_functional_form` when M has its own g."""
+def certify(M: Mosaic):
+    """The first failed check of M as (stage, member, failure), else None: stage
+    'mosaic' is :func:`verify_mosaic`, 'members' checks each member by
+    ``verify_bibd`` or ``verify_gdd`` against ``member_params``, and
+    'functional-form' is :func:`verify_functional_form`, when M has its own g."""
     res = verify_mosaic(M)
     if not res:
-        return Certification({"ok": False, "stage": "mosaic", "reason": res.reason,
-                              "witness": list(res.witness)}, "mosaic", res)
+        return "mosaic", None, res
     kind, p = M.member_kind, M.member_params
     for alpha in range(M.a if kind else 0):
         res = (verify_bibd(M.member(alpha), p.lam) if kind == "bibd"
                else verify_gdd(M.member(alpha), M.point_classes, p.lambda1, p.lambda2))
         if not res:
-            check = {"ok": False, "member": alpha, "reason": res.reason, "witness": list(res.witness)}
-            return Certification({"member_check": check, "ok": False}, "members", res, alpha)
-    report = {"member_check": {"members": f"all {M.a} verify as {kind.upper()}s", "ok": True}
-              if kind else {"ok": True}}
+            return "members", alpha, res
     if M._g is not None:
         res = verify_functional_form(M)
         if not res:
-            report.update({"ok": False, "stage": "functional-form", "reason": res.reason,
-                           "witness": list(res.witness)})
-            return Certification(report, "functional-form", res)
-        report["functional_form"] = "consistent"
-    return Certification({**report, "ok": True})
+            return "functional-form", None, res
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from designmosaics import cli
 from designmosaics.cli import main
 from designmosaics.serialize import load_mosaic, save_mosaic
 from designmosaics.families import build_m1, build_m4
@@ -143,6 +144,18 @@ def test_commands_reject_a_member_file_whose_members_are_not_designs(tmp_path, c
     assert code == 1 and payload["ok"] is False and "stage" not in payload
     assert payload["member_check"] == {"ok": False, "member": 0,
                                        "reason": "nonconstant block size", "witness": witness}
+
+
+def test_only_member_files_are_certified_outside_verify(tmp_path, capsys, monkeypatch):
+    # a header without member files is rebuilt by build_family, as --family is
+    certified = []
+    monkeypatch.setattr(cli, "certify", lambda M: certified.append(M))
+    for members in ((), ("--members",)):
+        path = tmp_path / str(len(members)) / "m2.json"
+        path.parent.mkdir()
+        run(capsys, "gen", "--family", "m2", "--t", "2", "--l", "1", *members, "--out", str(path))
+        assert run(capsys, "hashprops", "--mosaic", str(path))[0] == 0
+    assert len(certified) == 1 and certified[0]._g is None
 
 
 @pytest.mark.parametrize("argv,flag,content", [

@@ -222,20 +222,14 @@ def test_verify_functional_form_catches_wrong_color():
 
 def test_certify_stops_at_the_first_failed_stage():
     M = build_m1(2, 2)
-    cert = certify(M)
-    assert cert and cert.stage is None and cert.failure is None
-    assert list(cert.report.items()) == [
-        ("member_check", {"members": "all 2 verify as BIBDs", "ok": True}),
-        ("functional_form", "consistent"), ("ok", True)]
+    assert certify(M) is None
     # without member parameters there is no member stage, without g no (f, g) stage
-    assert certify(from_members(M.members())).report == {"member_check": {"ok": True}, "ok": True}
+    assert certify(from_members(M.members())) is None
 
     D, _ = ag_design(2, 2)
-    cert = certify(from_members([D, D], member_params=M.member_params))
-    assert not cert and (cert.stage, cert.member) == ("mosaic", None)
-    assert list(cert.report.items()) == [
-        ("ok", False), ("stage", "mosaic"),
-        ("reason", "pair covered by wrong number of members"), ("witness", [0, 0, 2])]
+    stage, member, res = certify(from_members([D, D], member_params=M.member_params))
+    assert (stage, member) == ("mosaic", None)
+    assert (res.reason, res.witness) == ("pair covered by wrong number of members", (0, 0, 2))
 
     F = M.color_matrix().copy()
     s0, s1 = np.flatnonzero(F[0] == 0)[0], np.flatnonzero(F[0] == 1)[0]
@@ -243,21 +237,18 @@ def test_certify_stops_at_the_first_failed_stage():
     bad = from_members([IncidenceStructure(F == alpha) for alpha in range(M.a)],
                        member_params=M.member_params)
     assert verify_mosaic(bad)
-    cert = certify(bad)
-    assert not cert and cert.stage == "members" and cert.member == 0
-    assert cert.report == {"member_check": {"ok": False, "member": 0, "reason": cert.failure.reason,
-                                            "witness": list(cert.failure.witness)}, "ok": False}
+    stage, member, res = certify(bad)
+    assert (stage, member) == ("members", 0)
+    assert res == verify_bibd(bad.member(0), M.member_params.lam)
 
     def repeating_g(s, alpha, kappa):
         return M.g(s, alpha, 0)
 
-    cert = certify(Mosaic(M.v, M.b, M.a, M.f, repeating_g, k=M.k, member_params=M.member_params))
-    x = M.g(0, 0, 0)
-    assert not cert and (cert.stage, cert.member) == ("functional-form", None)
-    assert list(cert.report.items()) == [
-        ("member_check", {"members": "all 2 verify as BIBDs", "ok": True}), ("ok", False),
-        ("stage", "functional-form"), ("reason", "preimage enumerator repeats a point"),
-        ("witness", [0, 0, x])]
+    stage, member, res = certify(Mosaic(M.v, M.b, M.a, M.f, repeating_g, k=M.k,
+                                        member_params=M.member_params))
+    assert (stage, member) == ("functional-form", None)
+    assert (res.reason, res.witness) == ("preimage enumerator repeats a point",
+                                         (0, 0, M.g(0, 0, 0)))
 
 
 # -- duals, sums, point multiples ---------------------------------------------
