@@ -7,7 +7,7 @@ scenarios, and Monte Carlo calibration of both pipelines.
 
 __version__ = "0.1.0"
 
-from .field import GF, DualBasisData, FieldArrays, make_field, prime_power
+from .field import GF, FieldArrays, make_field, prime_power
 from .designs import (
     AffineReport,
     BIBDParams,

@@ -232,17 +232,16 @@ def cmd_exact(args):
     member = M.member(0)
     params = M.member_params
     part = M.point_classes
+    # a fixed channel or source is parsed once; 'random' draws a fresh one per trial
+    if args.check == "prop41":
+        check, spec, parse, draw = prop41_check, args.channel, _parse_channel, random_channel
+    else:
+        check, spec, parse, draw = prop42_check, args.source, _parse_source, random_source
+    fixed = None if spec in (None, "random") else parse(spec, M.v, rng)
     worst = 0.0
     for _ in range(args.trials):
-        if args.check == "prop41":
-            channel = (_parse_channel(args.channel, M.v, rng) if args.channel not in (None, "random")
-                       else random_channel(M.v, int(rng.integers(2, M.v + 3)), rng))
-            rep = prop41_check(member, params, channel, part)
-        else:
-            source = (_parse_source(args.source, M.v, rng) if args.source not in (None, "random")
-                      else random_source(M.v, int(rng.integers(2, M.v + 3)), rng))
-            rep = prop42_check(member, params, source, part)
-        worst = max(worst, rep.discrepancy)
+        law = fixed if fixed is not None else draw(M.v, int(rng.integers(2, M.v + 3)), rng)
+        worst = max(worst, check(member, params, law, part).discrepancy)
     ok = worst < args.tol
     payload = {
         "check": args.check, "params": _family_params(args),

@@ -38,29 +38,11 @@ from .mosaics import Mosaic, point_multiple
 # M1: affine geometry designs AG_{t-1}(t, q)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class M1Spec:
-    t: int
-    q: int
-    v: int
-    b: int
-    r: int
-    k: int
-    lam: int
-    a: int
-
-
-def m1_spec(t: int, q: int) -> M1Spec:
+def _m1_field(t: int, q: int):
+    """GF(q), after checking the M1 parameters t >= 2 and q a prime power."""
     if t < 2:
         raise ValueError("M1 requires t >= 2")
-    prime_power(q)
-    r = (q ** t - 1) // (q - 1)
-    # two points lie on (q^(t-1) - 1)/(q - 1) common hyperplanes, the value
-    # forced by r(k-1) = lambda(v-1); q^(t-2) is the affine intersection
-    # number mu of this design, not its lambda (they agree only at t = 2)
-    lam = (q ** (t - 1) - 1) // (q - 1)
-    return M1Spec(t=t, q=q, v=q ** t, b=q * r, r=r, k=q ** (t - 1),
-                  lam=lam, a=q)
+    return make_field(*prime_power(q))
 
 
 def _m1_slopes(t: int, q: int):
@@ -114,10 +96,14 @@ def _resolvable_design(G: np.ndarray, a: int):
 
 def build_m1(t: int, q: int) -> Mosaic:
     """Mosaic of hyperplane designs of AG(t, q): f(x; h, beta) = h.x + beta."""
-    spec = m1_spec(t, q)
-    p, e = prime_power(q)
-    gf = make_field(p, e)
+    gf = _m1_field(t, q)
     slopes = _m1_slopes(t, q)
+    r = len(slopes)
+    # two points lie on (q^(t-1) - 1)/(q - 1) common hyperplanes, the value
+    # forced by r(k-1) = lambda(v-1); q^(t-2) is the affine intersection
+    # number mu of this design, not its lambda (they agree only at t = 2)
+    params = BIBDParams(v=q ** t, k=q ** (t - 1), lam=(q ** (t - 1) - 1) // (q - 1),
+                        r=r, b=q * r)
 
     def dot(h, x):
         acc = 0
@@ -153,9 +139,7 @@ def build_m1(t: int, q: int) -> Mosaic:
             x = x * q + coords[j]
         return x
 
-    return Mosaic(spec.v, spec.b, spec.a, f, g, k=spec.k,
-                  member_params=BIBDParams(v=spec.v, k=spec.k, lam=spec.lam,
-                                           r=spec.r, b=spec.b),
+    return Mosaic(params.v, params.b, q, f, g, k=params.k, member_params=params,
                   meta={"family": "m1", "t": t, "q": q},
                   form=lambda: _m1_form(gf, t, slopes))
 
@@ -163,9 +147,7 @@ def build_m1(t: int, q: int) -> Mosaic:
 def ag_design(t: int, q: int):
     """The resolvable BIBD AG_{t-1}(t, q) itself, with its hyperplane-pencil
     resolution; block (i, alpha) is the hyperplane h_i . x = alpha."""
-    m1_spec(t, q)
-    p, e = prime_power(q)
-    G, _ = _m1_form(make_field(p, e), t, _m1_slopes(t, q))
+    G, _ = _m1_form(_m1_field(t, q), t, _m1_slopes(t, q))
     return _resolvable_design(G, q)
 
 
@@ -480,39 +462,6 @@ def build_m3(t: int, l: int, u: int) -> Mosaic:
 # M4: transversal designs from duals of affine planes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class M4Spec:
-    q: int
-    k: int
-    slopes: tuple
-    u: int
-    v: int
-    b: int
-    r: int
-    lam: int
-    a: int
-
-
-def m4_default_slopes(k: int, q: int) -> tuple:
-    # a plain subset of F_q when k <= q; all q + 1 classes (vertical included)
-    # only in the full dual-of-AG(2, q) case
-    if k == q + 1:
-        return tuple(range(q + 1))
-    return tuple(range(k))
-
-
-def m4_spec(k: int, q: int, slopes=None) -> M4Spec:
-    prime_power(q)
-    if not 2 <= k <= q + 1:
-        raise ValueError("M4 requires 2 <= k <= q + 1")
-    slopes = m4_default_slopes(k, q) if slopes is None else tuple(int(c) for c in slopes)
-    if len(slopes) != k or len(set(slopes)) != k:
-        raise ValueError(f"slope set must have exactly k = {k} distinct elements")
-    if any(not 0 <= c <= q for c in slopes):
-        raise ValueError("slopes must lie in F_q plus the vertical slope q")
-    return M4Spec(q=q, k=k, slopes=slopes, u=q, v=q * k, b=q * q, r=q, lam=1, a=q)
-
-
 def build_m4(k: int, q: int, slopes=None) -> Mosaic:
     """Mosaic of (q, k, 1) transversal designs on the lines with slopes in R.
 
@@ -522,10 +471,17 @@ def build_m4(k: int, q: int, slopes=None) -> Mosaic:
     and d = alpha + s2 - c s1 solves the preimage for each slope.  Vertical
     lines use the shifted rule d = s1 - alpha.
     """
-    spec = m4_spec(k, q, slopes)
     p, e = prime_power(q)
+    if not 2 <= k <= q + 1:
+        raise ValueError("M4 requires 2 <= k <= q + 1")
+    # by default a plain subset of F_q when k <= q; all q + 1 classes
+    # (vertical included) only in the full dual-of-AG(2, q) case
+    R = tuple(range(k)) if slopes is None else tuple(int(c) for c in slopes)
+    if len(R) != k or len(set(R)) != k:
+        raise ValueError(f"slope set must have exactly k = {k} distinct elements")
+    if any(not 0 <= c <= q for c in R):
+        raise ValueError("slopes must lie in F_q plus the vertical slope q")
     gf = make_field(p, e)
-    R = spec.slopes
 
     def f(x, s):
         ci, d = divmod(x, q)
@@ -554,9 +510,9 @@ def build_m4(k: int, q: int, slopes=None) -> Mosaic:
 
     partition = tuple(tuple(range(ci * q, (ci + 1) * q)) for ci in range(k))
     gdd = GDDParams(u=q, m=k, k=k, lambda1=0, lambda2=1,
-                    v=spec.v, r=q, b=spec.b, partition=partition)
+                    v=q * k, r=q, b=q * q, partition=partition)
     # on a vertical line f = s1 - d does not depend on s2, so no L fits
-    return Mosaic(spec.v, spec.b, q, f, g, k=k, member_params=gdd,
+    return Mosaic(gdd.v, gdd.b, q, f, g, k=k, member_params=gdd,
                   meta={"family": "m4", "k": k, "q": q, "slopes": list(R)},
                   form=None if q in R else form)
 
@@ -581,7 +537,6 @@ class CataloguedGDD:
     name: str
     structure: IncidenceStructure
     resolution: Resolution
-    partition: tuple
     params: GDDParams
 
 
@@ -592,7 +547,7 @@ def clatworthy_r1() -> CataloguedGDD:
     partition = ((0, 1), (2, 3))
     params = GDDParams.from_classes(u=2, m=2, k=2, lambda1=2, lambda2=1, partition=partition)
     res = Resolution(((0, 1), (2, 3), (4, 5), (6, 7)))
-    return CataloguedGDD("R1", D, res, partition, params)
+    return CataloguedGDD("R1", D, res, params)
 
 
 def clatworthy_r2() -> CataloguedGDD:
@@ -603,7 +558,7 @@ def clatworthy_r2() -> CataloguedGDD:
     partition = ((0, 1), (2, 3))
     params = GDDParams.from_classes(u=2, m=2, k=2, lambda1=3, lambda2=1, partition=partition)
     res = Resolution(((0, 1), (2, 3), (4, 5), (6, 7), (8, 9)))
-    return CataloguedGDD("R2", D, res, partition, params)
+    return CataloguedGDD("R2", D, res, params)
 
 
 # family -> (builder, required parameters, optional parameters)

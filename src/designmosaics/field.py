@@ -18,8 +18,6 @@ precomputed columns; a square root halves the discrete log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MAX_FIELD_ORDER = 1 << 20
@@ -135,18 +133,6 @@ def _apply_cols(cols, x):
     for j, col in enumerate(cols):
         out ^= ((x >> j) & 1) * col
     return out
-
-
-@dataclass(frozen=True)
-class DualBasisData:
-    """Dual basis zeta_0..zeta_{n-1} with Tr(zeta_i * theta^j) = delta_ij.
-
-    ``dual[i]`` is the packed encoding of zeta_i, and row i of ``T`` gives the
-    coordinates of zeta_i in the polynomial basis.
-    """
-
-    dual: tuple
-    T: tuple
 
 
 class GF:
@@ -287,7 +273,8 @@ class GF:
         if self._exp is not None:
             q1 = self.order - 1
             return self._exp[(q1 - self._log[a]) % q1]
-        return self._inv_euclid(a)
+        # a^(q-1) = 1 for every nonzero a, so a^(q-2) is its inverse
+        return self.pow(a, self.order - 2)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -302,35 +289,6 @@ class GF:
             a = self.mul(a, a)
             e >>= 1
         return r
-
-    def _inv_euclid(self, a: int) -> int:
-        p = self.p
-        r0, r1 = self._modlist[:], _digits(a, p, self.n)
-        _trim(r1)
-        t0, t1 = [], [1]
-        while r1:
-            # one division step: r0 = q*r1 + rem
-            rem, q = _trim(r0[:]), []
-            db = len(r1) - 1
-            inv_lead = pow(r1[-1], -1, p)
-            q = [0] * max(len(rem) - db, 1)
-            while rem and len(rem) - 1 >= db:
-                shift = len(rem) - 1 - db
-                factor = (rem[-1] * inv_lead) % p
-                q[shift] = factor
-                for i, bi in enumerate(r1):
-                    rem[shift + i] = (rem[shift + i] - factor * bi) % p
-                _trim(rem)
-            qt1 = _poly_mul(_trim(q), t1, p)
-            new_t = [(x - y) % p for x, y in
-                     zip(t0 + [0] * max(0, len(qt1) - len(t0)),
-                         qt1 + [0] * max(0, len(t0) - len(qt1)))]
-            r0, r1 = r1, rem
-            t0, t1 = t1, _trim(new_t)
-        # r0 is the gcd, a nonzero constant
-        c_inv = pow(r0[0], -1, p)
-        inv_poly = [(c_inv * c) % p for c in t0]
-        return self.from_coeffs(_poly_mod(inv_poly, self._modlist, p))
 
     def _build_log_tables(self):
         g = self._find_generator()
@@ -416,17 +374,15 @@ class GF:
         e = self._log[x]
         return self._exp[(e + (e & 1) * (self.order - 1)) >> 1]
 
-    def dual_basis(self) -> DualBasisData:
-        """Basis zeta_0..zeta_{n-1} dual to the polynomial basis under the trace form."""
+    def dual_basis(self) -> tuple:
+        """The basis zeta_0..zeta_{n-1} dual to the polynomial basis under the
+        trace form, Tr(zeta_i theta^j) = delta_ij, as the tuple of the packed
+        elements zeta_i."""
         self._require_char2()
         if self._dual is None:
-            n = self.n
             # row i of gram^-1 gives zeta_i in the polynomial basis; for p = 2
             # the row bitmask is already the packed element
-            t_rows = _gf2_inverse(list(self._gram), n)
-            dual = tuple(t_rows)
-            T = tuple(tuple((r >> j) & 1 for j in range(n)) for r in t_rows)
-            self._dual = DualBasisData(dual=dual, T=T)
+            self._dual = tuple(_gf2_inverse(list(self._gram), self.n))
         return self._dual
 
     def dual_coords(self, x: int) -> int:
@@ -435,7 +391,7 @@ class GF:
         return _apply_cols(self._gram, x)
 
     def from_dual_coords(self, bits: int) -> int:
-        return _apply_cols(self.dual_basis().dual, bits)
+        return _apply_cols(self.dual_basis(), bits)
 
     def artin_schreier_roots(self, a: int) -> tuple:
         """All w with w^2 + w = a, sorted; empty unless Tr(a) = 0, else exactly {w, w+1}."""
@@ -481,7 +437,7 @@ class FieldArrays:
         self.log = np.asarray(gf._log, dtype=np.int64)
         self.q1 = gf.order - 1
         self._trace_basis, self._gram, self._as_cols = gf._trace_basis, gf._gram, gf._as_cols
-        self._dual = gf.dual_basis().dual
+        self._dual = gf.dual_basis()
 
     def mul(self, a, b):
         return np.where((a == 0) | (b == 0), 0, self.exp[self.log[a] + self.log[b]])

@@ -96,14 +96,6 @@ class FieldAdditiveQuasigroup(Quasigroup):
 MEMBER_KINDS = {BIBDParams: "bibd", GDDParams: "gdd"}
 
 
-@dataclass(frozen=True)
-class MosaicCert:
-    v: int
-    b: int
-    a: int
-    k: int
-
-
 class Mosaic:
     """Color-indexed family (D_alpha) on [v] x [b], held as a functional form.
 
@@ -221,7 +213,8 @@ def from_members(structures, member_params=None, meta=None) -> Mosaic:
 
 def verify_mosaic(M: Mosaic):
     """Partition property (every pair incident in exactly one member) plus
-    nonemptiness of every member, which then shows as a color absent from F."""
+    nonemptiness of every member, which then shows as a color absent from F.
+    True when both hold, else the first failure as a falsy CheckFailure."""
     if M._cover_fault is not None:
         return CheckFailure("pair covered by wrong number of members", M._cover_fault)
     F = M.color_matrix()
@@ -232,13 +225,14 @@ def verify_mosaic(M: Mosaic):
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         return CheckFailure("empty member", (int(empty[0]),))
-    return MosaicCert(M.v, M.b, M.a, M.k)
+    return True
 
 
 def verify_functional_form(M: Mosaic):
     """Exhaustive consistency of (f, g): for every (s, alpha) the map
     kappa -> g(s, alpha, kappa) must hit f_s^{-1}(alpha) bijectively.  The
-    colors of g's points are read from the color matrix."""
+    colors of g's points are read from the color matrix.  True when it holds,
+    else the first failure as a falsy CheckFailure."""
     F = M.color_matrix()
     for s in range(M.b):
         for alpha in range(M.a):
@@ -253,7 +247,7 @@ def verify_functional_form(M: Mosaic):
                 got = int(F[x, s])
                 if got != alpha:
                     return CheckFailure("f(g(s,alpha,kappa), s) != alpha", (s, alpha, kappa, x, got))
-    return MosaicCert(M.v, M.b, M.a, M.k)
+    return True
 
 
 def certify(M: Mosaic):

@@ -37,18 +37,19 @@ def save_mosaic(M: Mosaic, json_path, members: bool = False) -> dict:
 
 
 def load_mosaic(json_path) -> Mosaic:
-    """Rebuild from member CSVs when present, else from the family registry."""
+    """Rebuild from member CSVs when present, else from the family registry.
+    Its errors leave the header path for the caller to name."""
     json_path = Path(json_path)
     head = json.loads(json_path.read_text())
     if head.get("format") != "mosaic":
-        raise ValueError(f"{json_path} is not a mosaic header")
+        raise ValueError("not a mosaic header")
     if head.get("content_hash") != _header_hash(head):
-        raise ValueError(f"{json_path}: header does not match its content_hash")
+        raise ValueError("header does not match its content_hash")
     member_params = head.get("member_params")
     params = None if member_params is None else params_from_json(member_params)
     for key, want in implied_member_keys(params).items():
         if head.get(key) != want:
-            raise ValueError(f"{json_path}: header {key} disagrees with its member_params")
+            raise ValueError(f"header {key} disagrees with its member_params")
     if head.get("members"):
         structures = [incidence_from_csv(json_path.with_name(name))
                       for name in head["members"]]
@@ -59,5 +60,5 @@ def load_mosaic(json_path) -> Mosaic:
     else:
         M = build_family(head["family"], **head.get("params", {}))
     if (M.v, M.b, M.a) != (head["v"], head["b"], head["a"]):
-        raise ValueError(f"{json_path}: mosaic sizes disagree with the declared sizes")
+        raise ValueError("mosaic sizes disagree with the declared sizes")
     return M

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import designmosaics as dm
-from designmosaics.families import DennistonGeometry, m1_spec
+from designmosaics.families import DennistonGeometry
 
 
 def criterion(num, name):
@@ -134,7 +134,7 @@ def _identity_members():
         ("m3(2,2,2) singular", m3b.member(1), m3b.member_params, m3b.point_classes),
         ("m4(2,3) semi-regular", m4a.member(0), m4a.member_params, m4a.point_classes),
         ("m4(3,4) semi-regular", m4b.member(2), m4b.member_params, m4b.point_classes),
-        ("clatworthy R1 regular", r1.structure, r1.params, r1.partition),
+        ("clatworthy R1 regular", r1.structure, r1.params, r1.params.partition),
     ]
 
 

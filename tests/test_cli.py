@@ -398,7 +398,7 @@ def test_cli_calls_leave_little_cyclic_garbage(capsys):
 
 def test_cli_calls_leave_no_field_to_the_cyclic_collector(capsys):
     # a FieldArrays that referred back to its GF made every field a cycle:
-    # 20 calls left 20 GF, 20 FieldArrays and 20 DualBasisData behind
+    # 20 calls left 20 GF and 20 FieldArrays behind
     import gc
     from collections import Counter
     argv = ["verify", "--family", "m2", "--t", "3", "--l", "2"]
@@ -416,7 +416,7 @@ def test_cli_calls_leave_no_field_to_the_cyclic_collector(capsys):
         gc.garbage.clear()
         gc.enable()
     capsys.readouterr()
-    assert [kinds[name] for name in ("GF", "FieldArrays", "DualBasisData")] == [0, 0, 0]
+    assert [kinds[name] for name in ("GF", "FieldArrays")] == [0, 0]
 
 
 def test_load_rejects_a_member_description_its_params_do_not_imply(tmp_path, capsys):
@@ -434,3 +434,57 @@ def test_load_rejects_a_member_description_its_params_do_not_imply(tmp_path, cap
             load_mosaic(path)
         code, _, err = run(capsys, "verify", "--mosaic", str(path))
         assert code == 2 and key in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("check,flag,reader,row", [
+    ("prop41", "--channel", "channel_from_csv", "0.5,0.5\n"),
+    ("prop42", "--source", "source_from_csv", "0.125,0.125\n"),
+])
+def test_exact_reads_a_csv_law_once(tmp_path, capsys, monkeypatch, check, flag, reader, row):
+    # a fixed channel or source is parsed before the trial loop, not per trial
+    path = tmp_path / "law.csv"
+    path.write_text(row * 4)
+    reads = []
+    original = getattr(cli, reader)
+    monkeypatch.setattr(cli, reader, lambda p: reads.append(p) or original(p))
+    code, out, _ = run(capsys, "exact", "--check", check, "--family", "m1", "--t", "2",
+                       "--q", "2", flag, str(path))
+    assert code == 0 and json.loads(out)["trials"] == 100
+    assert reads == [str(path)]
+
+
+def test_a_mosaic_error_names_the_path_once(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    save_mosaic(build_m1(2, 2), path)
+    head = json.loads(path.read_text())
+    for key, value, message in [("v", 5, "header does not match its content_hash"),
+                                ("format", "other", "not a mosaic header")]:
+        path.write_text(json.dumps({**head, key: value}))
+        code, out, err = run(capsys, "hashprops", "--mosaic", str(path))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == f"--mosaic {path}: {message}"
+
+
+def test_every_command_runs_on_the_large_rung(tmp_path, capsys):
+    # m2(5, 3): v = 232, b = 957, a = 29, the benchmark's largest CLI rung
+    family = ("--family", "m2", "--t", "5", "--l", "3")
+    code, _, _ = run(capsys, "gen", *family, "--out", str(tmp_path / "m2.json"))
+    assert code == 0
+    outputs = {}
+    for argv in [("verify",), ("rates",), ("hashprops",),
+                 ("bounds", "--scenario", "wiretap", "--channel", "symmetric:0.2"),
+                 ("bounds", "--scenario", "pa", "--source", "independent"),
+                 ("simulate", "--scenario", "wiretap", "--channel", "symmetric:0.2",
+                  "--trials", "2000"),
+                 ("simulate", "--scenario", "pa", "--source", "independent",
+                  "--trials", "2000"),
+                 ("exact", "--check", "prop41", "--trials", "2"),
+                 ("exact", "--check", "prop42", "--trials", "2")]:
+        code, out, _ = run(capsys, argv[0], *family, *argv[1:])
+        assert code == 0, argv
+        outputs[argv[:3]] = json.loads(out)
+    assert outputs[("verify",)]["ok"]
+    assert outputs[("bounds", "--scenario", "wiretap")]["dominates"]
+    assert outputs[("bounds", "--scenario", "pa")]["dominates"]
+    assert outputs[("simulate", "--scenario", "wiretap")]["decode_errors"] == 0
+    assert outputs[("simulate", "--scenario", "pa")]["decode_errors"] == 0

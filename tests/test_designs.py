@@ -71,7 +71,7 @@ def test_bibd_matches_brute_force_pair_counts():
 
 def test_gdd_clatworthy_r1():
     cat = clatworthy_r1()
-    res = verify_gdd(cat.structure, cat.partition, 2, 1)
+    res = verify_gdd(cat.structure, cat.params.partition, 2, 1)
     assert res and (res.v, res.r, res.k, res.lambda1, res.lambda2) == (4, 4, 2, 2, 1)
     assert classify_gdd(res) == "regular"
 
@@ -230,7 +230,7 @@ def test_incidence_gram():
     assert np.array_equal(empty.gram(), np.zeros((3, 3)))
     cat = clatworthy_r1()
     C = np.zeros((4, 4), dtype=np.int64)
-    for cls in cat.partition:
+    for cls in cat.params.partition:
         idx = np.array(cls)
         C[np.ix_(idx, idx)] = 1
     expect = (4 - 2) * np.eye(4, dtype=np.int64) + (2 - 1) * C + np.ones((4, 4), dtype=np.int64)

@@ -14,8 +14,6 @@ from designmosaics.families import (
     clatworthy_r2,
     denniston_design,
     denniston_point_set,
-    m1_spec,
-    m4_spec,
     td_design,
 )
 from designmosaics.mosaics import (
@@ -30,8 +28,19 @@ from test_acceptance import member_matrices
 # -- M1 ------------------------------------------------------------------------
 
 def test_m1_22_parameters():
-    s = m1_spec(2, 2)
-    assert (s.v, s.b, s.r, s.k, s.lam, s.a) == (4, 6, 3, 2, 1, 2)
+    M = build_m1(2, 2)
+    s = M.member_params
+    assert (s.v, s.b, s.r, s.k, s.lam, M.a) == (4, 6, 3, 2, 1, 2)
+    assert (M.v, M.b, M.k) == (s.v, s.b, s.k)
+
+
+@pytest.mark.parametrize("build", [build_m1, ag_design])
+def test_m1_rejects_invalid_parameters(build):
+    # t is checked before q
+    for t, q, message in [(1, 6, "M1 requires t >= 2"), (2, 6, "6 is not a prime power"),
+                          (2, 1, "1 is not a prime power")]:
+        with pytest.raises(ValueError, match=message):
+            build(t, q)
 
 
 def test_m1_functional_form_example():
@@ -75,9 +84,9 @@ def test_ag_design_blocks_are_hyperplanes(t, q):
 
 def test_m1_corrected_lambda():
     # the pair count forced by r(k-1) = lambda(v-1); equals q^(t-2) iff t = 2
-    assert m1_spec(2, 5).lam == 1
-    assert m1_spec(3, 2).lam == 3
-    assert m1_spec(3, 3).lam == 4
+    assert build_m1(2, 5).member_params.lam == 1
+    assert build_m1(3, 2).member_params.lam == 3
+    assert build_m1(3, 3).member_params.lam == 4
 
 
 # -- Denniston geometry ----------------------------------------------------------
@@ -399,17 +408,23 @@ def test_m3_functional_form_factors_through_base():
 
 # -- M4 ------------------------------------------------------------------------
 
-def test_m4_spec_and_default_slopes():
-    s = m4_spec(2, 3)
-    assert (s.u, s.k, s.b, s.lam, s.a, s.v) == (3, 2, 9, 1, 3, 6)
-    assert s.slopes == (0, 1)
-    assert m4_spec(4, 3).slopes == (0, 1, 2, 3)   # includes the vertical slope q=3
-    with pytest.raises(ValueError):
-        m4_spec(5, 3)
-    with pytest.raises(ValueError):
-        m4_spec(2, 3, slopes=(0, 0))
-    with pytest.raises(ValueError):
-        m4_spec(2, 3, slopes=(0, 7))
+def test_m4_parameters_and_default_slopes():
+    M = build_m4(2, 3)
+    s = M.member_params
+    assert (s.u, s.k, s.b, s.lambda2, M.a, s.v) == (3, 2, 9, 1, 3, 6)
+    assert (M.v, M.b) == (s.v, s.b)
+    assert M.meta["slopes"] == [0, 1]
+    assert build_m4(4, 3).meta["slopes"] == [0, 1, 2, 3]   # includes the vertical slope q=3
+    for k, q, slopes, message in [
+            (9, 6, None, "6 is not a prime power"),   # q is checked before k
+            (5, 3, None, "M4 requires 2 <= k <= q \\+ 1"),
+            (1, 3, None, "M4 requires 2 <= k <= q \\+ 1"),
+            (2, 3, (0, 0), "exactly k = 2 distinct"),
+            (2, 3, (0, 1, 1), "exactly k = 2 distinct"),   # k distinct values, k + 1 entries
+            (2, 3, (0, 7), "slopes must lie in F_q"),
+            (2, 3, (0, 7, 7), "exactly k = 2 distinct")]:
+        with pytest.raises(ValueError, match=message):
+            build_m4(k, q, slopes)
 
 
 def test_m4_functional_form_follows_incidence_rule():
@@ -460,9 +475,9 @@ def _td_loop(k, q, slopes=None):
     on the point (s1, c s1 + d), the vertical line x = d on (d, s2)."""
     from designmosaics.field import make_field, prime_power
     gf = make_field(*prime_power(q))
-    spec = m4_spec(k, q, slopes)
-    N = np.zeros((spec.v, spec.b), dtype=np.uint8)
-    for ci, c in enumerate(spec.slopes):
+    R = tuple(range(k)) if slopes is None else slopes
+    N = np.zeros((q * k, q * q), dtype=np.uint8)
+    for ci, c in enumerate(R):
         for d in range(q):
             x = ci * q + d
             for s in range(q):
@@ -477,7 +492,7 @@ def test_td_design_matches_the_incidence_loop(q):
         D, R = td_design(k, q, slopes)
         assert D.N.dtype == np.uint8
         assert np.array_equal(D.N, _td_loop(k, q, slopes)), (k, slopes)
-        vertical = q in m4_spec(k, q, slopes).slopes
+        vertical = q in (range(k) if slopes is None else slopes)
         assert (R is None) == vertical
         if not vertical:
             assert R.classes == tuple(tuple(range(e * q, (e + 1) * q)) for e in range(q))
@@ -499,7 +514,7 @@ def test_m4_two_path_equivalence_char2():
 
 def test_clatworthy_structures_verify():
     for cat, cls in [(clatworthy_r1(), "regular"), (clatworthy_r2(), "regular")]:
-        res = verify_gdd(cat.structure, cat.partition, cat.params.lambda1, cat.params.lambda2)
+        res = verify_gdd(cat.structure, cat.params.partition, cat.params.lambda1, cat.params.lambda2)
         assert res
         assert classify_gdd(res) == cls
         assert verify_resolution(cat.structure, cat.resolution.classes)

@@ -434,7 +434,7 @@ def test_gdd_construct_members_share_point_classes():
     cat = clatworthy_r1()
     M = construct_from_resolvable(cat.structure, cat.resolution, CyclicQuasigroup(2))
     for alpha in range(M.a):
-        assert verify_gdd(M.member(alpha), cat.partition, 2, 1)
+        assert verify_gdd(M.member(alpha), cat.params.partition, 2, 1)
 
 
 def test_m4_member_dual_is_resolvable():
