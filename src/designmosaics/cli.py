@@ -85,6 +85,7 @@ def _build(args):
     --family is, and is not certified again."""
     path = getattr(args, "mosaic", None)
     if path:
+        _check_opens("--mosaic", path)
         try:
             M = load_mosaic(path)
             # of the loaded mosaics, only those read from member files lack g
@@ -102,9 +103,20 @@ def _build(args):
     return build_family(args.family, **_family_params(args))
 
 
+def _check_opens(flag, path):
+    """A path that cannot be opened is an error of ``flag`` naming the path
+    once; the OSError's own message would name it again."""
+    try:
+        with open(path, "rb"):
+            pass
+    except OSError as exc:
+        raise CliError(f"{flag} {path}: {exc.strerror}") from None
+
+
 def _read(flag, path, read, v):
     """``read(path)``, with a failure or a row count other than v reported as
     an error of ``flag``."""
+    _check_opens(flag, path)
     try:
         law = read(path)
     except (ValueError, OSError) as exc:

@@ -30,7 +30,7 @@ from .designs import (
     IncidenceStructure,
     Resolution,
 )
-from .field import _digits, make_field, prime_power
+from .field import make_field, prime_power
 from .mosaics import Mosaic, point_multiple
 
 
@@ -38,49 +38,21 @@ from .mosaics import Mosaic, point_multiple
 # M1: affine geometry designs AG_{t-1}(t, q)
 # ---------------------------------------------------------------------------
 
-def _m1_field(t: int, q: int):
-    """GF(q), after checking the M1 parameters t >= 2 and q a prime power."""
-    if t < 2:
-        raise ValueError("M1 requires t >= 2")
-    return make_field(*prime_power(q))
-
-
 def _m1_slopes(t: int, q: int):
     """Nonzero vectors in F_q^t with first nonzero coordinate 1, one per
-    parallel class of hyperplanes; ordered by pivot position then suffix."""
-    slopes = []
-    for pivot in range(t):
-        tail = t - pivot - 1
-        for m in range(q ** tail):
-            coords = [0] * pivot + [1]
-            mm = m
-            for _ in range(tail):
-                mm, d = divmod(mm, q)
-                coords.append(d)
-            slopes.append(tuple(coords))
-    return slopes
+    parallel class of hyperplanes; ordered by pivot position, then by the
+    suffix read as little-endian base-q digits."""
+    return [tuple([0] * p + [1] + [m // q ** j % q for j in range(t - p - 1)])
+            for p in range(t) for m in range(q ** (t - p - 1))]
 
 
 def _field_tables(gf):
-    """The (q, q) addition and multiplication tables of gf, from its scalar
-    ops; they serve odd q too, where ``FieldArrays`` does not."""
+    """The (q, q) addition and multiplication tables and the negation table of
+    gf, from its scalar ops; they serve odd q too, where ``FieldArrays`` does not."""
     q = gf.order
     add = np.array([[gf.add(x, y) for y in range(q)] for x in range(q)])
     mul = np.array([[gf.mul(x, y) for y in range(q)] for x in range(q)])
-    return add, mul
-
-
-def _m1_form(gf, t: int, slopes):
-    """M1's resolvable form: the (q^t, r) hyperplane table G[x, i] = h_i . x
-    over GF(q) and the color table L[beta, gamma] = gamma + beta."""
-    q = gf.order
-    add, mul = _field_tables(gf)
-    coords = np.arange(q ** t)[:, None] // q ** np.arange(t) % q
-    H = np.array(slopes)
-    G = np.zeros((q ** t, len(slopes)), dtype=np.int64)
-    for j in range(t):
-        G = add[G, mul[coords[:, j, None], H[None, :, j]]]
-    return G, add
+    return add, mul, np.array([gf.neg(x) for x in range(q)])
 
 
 def _resolvable_design(G: np.ndarray, a: int):
@@ -96,7 +68,9 @@ def _resolvable_design(G: np.ndarray, a: int):
 
 def build_m1(t: int, q: int) -> Mosaic:
     """Mosaic of hyperplane designs of AG(t, q): f(x; h, beta) = h.x + beta."""
-    gf = _m1_field(t, q)
+    if t < 2:
+        raise ValueError("M1 requires t >= 2")
+    add, mul, neg = _field_tables(make_field(*prime_power(q)))
     slopes = _m1_slopes(t, q)
     r = len(slopes)
     # two points lie on (q^(t-1) - 1)/(q - 1) common hyperplanes, the value
@@ -104,50 +78,43 @@ def build_m1(t: int, q: int) -> Mosaic:
     # number mu of this design, not its lambda (they agree only at t = 2)
     params = BIBDParams(v=q ** t, k=q ** (t - 1), lam=(q ** (t - 1) - 1) // (q - 1),
                         r=r, b=q * r)
+    H = np.array(slopes)
+    powers = q ** np.arange(t)
+    pivots = [h.index(1) for h in slopes]
 
-    def dot(h, x):
+    def field_dot(h, coords):
+        # h . coords over GF(q), broadcast over the leading axes of both
         acc = 0
-        coords = _digits(x, q, t)
-        for hi, xi in zip(h, coords):
-            if hi and xi:
-                acc = gf.add(acc, gf.mul(hi, xi))
+        for j in range(t):
+            acc = add[acc, mul[h[..., j], coords[..., j]]]
         return acc
 
     def f(x, s):
         i, beta = divmod(s, q)
-        return gf.add(dot(slopes[i], x), beta)
+        return int(add[field_dot(H[i], x // powers % q), beta])
 
     def g(s, alpha, kappa):
+        # the coordinates off the pivot are the base-q digits of kappa; the
+        # pivot coordinate (h_pivot = 1) solves h . x = alpha - beta
         i, beta = divmod(s, q)
-        h = slopes[i]
-        target = gf.sub(alpha, beta)
-        pivot = next(j for j, hj in enumerate(h) if hj)
-        free = _digits(kappa, q, t - 1)
-        coords = [0] * t
-        fi = 0
-        acc = 0
-        for j in range(t):
-            if j == pivot:
-                continue
-            coords[j] = free[fi]
-            fi += 1
-            if h[j] and coords[j]:
-                acc = gf.add(acc, gf.mul(h[j], coords[j]))
-        coords[pivot] = gf.sub(target, acc)  # h[pivot] = 1
-        x = 0
-        for j in range(t - 1, -1, -1):
-            x = x * q + coords[j]
-        return x
+        alpha, kappa = np.broadcast_arrays(alpha, kappa)
+        coords = np.zeros(kappa.shape + (t,), dtype=np.int64)
+        coords[..., [j for j in range(t) if j != pivots[i]]] = kappa[..., None] // powers[:-1] % q
+        coords[..., pivots[i]] = add[add[alpha, neg[beta]], neg[field_dot(H[i], coords)]]
+        return (coords * powers).sum(-1)
+
+    def form():
+        # the hyperplane table G[x, i] = h_i . x and L[beta, gamma] = gamma + beta
+        return field_dot(H[None], (np.arange(q ** t)[:, None] // powers % q)[:, None]), add
 
     return Mosaic(params.v, params.b, q, f, g, k=params.k, member_params=params,
-                  meta={"family": "m1", "t": t, "q": q},
-                  form=lambda: _m1_form(gf, t, slopes))
+                  meta={"family": "m1", "t": t, "q": q}, form=form)
 
 
 def ag_design(t: int, q: int):
     """The resolvable BIBD AG_{t-1}(t, q) itself, with its hyperplane-pencil
     resolution; block (i, alpha) is the hyperplane h_i . x = alpha."""
-    G, _ = _m1_form(_m1_field(t, q), t, _m1_slopes(t, q))
+    G, _ = build_m1(t, q)._form()
     return _resolvable_design(G, q)
 
 
@@ -435,7 +402,7 @@ def build_m2(t: int, l: int) -> Mosaic:
 
     def g(s, alpha, kappa):
         i, beta = divmod(s, a)
-        return int(geom.class_table(i)[(alpha - beta) % a, kappa])
+        return geom.class_table(i)[(alpha - beta) % a, kappa]
 
     def form():
         return geom.block_ranks(), np.add.outer(np.arange(a), np.arange(a)) % a
@@ -481,32 +448,28 @@ def build_m4(k: int, q: int, slopes=None) -> Mosaic:
         raise ValueError(f"slope set must have exactly k = {k} distinct elements")
     if any(not 0 <= c <= q for c in R):
         raise ValueError("slopes must lie in F_q plus the vertical slope q")
-    gf = make_field(p, e)
+    add, mul, neg = _field_tables(make_field(p, e))
+    slope = np.array(R)
+    flat = np.where(slope == q, 0, slope)        # the vertical slope's row is unused
 
     def f(x, s):
         ci, d = divmod(x, q)
-        c = R[ci]
         s1, s2 = divmod(s, q)
-        if c == q:
-            return gf.sub(s1, d)
-        return gf.sub(gf.add(gf.mul(c, s1), d), s2)
+        if R[ci] == q:
+            return int(add[s1, neg[d]])
+        return int(add[add[mul[R[ci], s1], d], neg[s2]])
 
     def g(s, alpha, kappa):
-        c = R[kappa]
         s1, s2 = divmod(s, q)
-        if c == q:
-            d = gf.sub(s1, alpha)
-        else:
-            d = gf.sub(gf.add(alpha, s2), gf.mul(c, s1))
+        d = np.where(slope[kappa] == q, add[s1, neg[alpha]],
+                     add[add[alpha, s2], neg[mul[flat[kappa], s1]]])
         return kappa * q + d
 
     def form():
         # class s1, shift beta = s2: G[(c, d), s1] = c s1 + d, L[beta, gamma] = gamma - beta
-        add, mul = _field_tables(gf)
         c = np.repeat(R, q)[:, None]
         d = np.tile(np.arange(q), k)[:, None]
-        L = np.array([[gf.sub(gamma, beta) for gamma in range(q)] for beta in range(q)])
-        return add[mul[c, np.arange(q)[None, :]], d], L
+        return add[mul[c, np.arange(q)[None, :]], d], add[:, neg].T
 
     partition = tuple(tuple(range(ci * q, (ci + 1) * q)) for ci in range(k))
     gdd = GDDParams(u=q, m=k, k=k, lambda1=0, lambda2=1,

@@ -4,9 +4,12 @@ A mosaic is a family of incidence structures on a common point set [v] and
 block index set [b] whose incidence matrices sum to the all-ones matrix.  Its
 functional form f(x, s) reads off the unique member in which (x, s) is
 incident; the preimage enumerator g(s, alpha, kappa) walks the k points of
-f_s^{-1}(alpha) bijectively.  Mosaics are kept lazily as (f, g) pairs; the one
-dense form a mosaic ever materializes is its color matrix F[x, s] = f(x, s),
-from which members, preimages and joint laws are derived on demand.
+f_s^{-1}(alpha) bijectively.  g takes integer arrays for alpha and kappa at
+one scalar seed s and broadcasts them, so :func:`verify_functional_form`
+checks each seed's (a, k) block of points in one call.  Mosaics are kept
+lazily as (f, g) pairs; the one dense form a mosaic ever materializes is its
+color matrix F[x, s] = f(x, s), from which members, preimages and joint laws
+are derived on demand.
 
 A mosaic built from a resolvable design and a quasigroup on the colors has
 the resolvable form f(x, (i, beta)) = L(beta, gamma_i(x)), with the seed
@@ -99,6 +102,9 @@ MEMBER_KINDS = {BIBDParams: "bibd", GDDParams: "gdd"}
 class Mosaic:
     """Color-indexed family (D_alpha) on [v] x [b], held as a functional form.
 
+    ``f(x, s)`` takes scalars; ``g(s, alpha, kappa)`` takes a scalar seed and
+    integer arrays for alpha and kappa, broadcasts them and returns the array
+    of points.  :meth:`g` checks its scalar arguments and returns an int.
     ``member_params`` (``BIBDParams`` or ``GDDParams``) describes the common
     parameters of all members when known; the member kind and the shared point
     classes of GDD members are read from it.  ``form``, when given, is a
@@ -146,7 +152,7 @@ class Mosaic:
         if not (0 <= s < self.b and 0 <= alpha < self.a and 0 <= kappa < self.k):
             _out_of_range(("s", s, self.b), ("alpha", alpha, self.a), ("kappa", kappa, self.k))
         if self._g is not None:
-            return self._g(s, alpha, kappa)
+            return int(self._g(s, alpha, kappa))
         return int(np.flatnonzero(self.color_matrix()[:, s] == alpha)[kappa])
 
     # -- materialization --------------------------------------------------------
@@ -183,7 +189,9 @@ def _out_of_range(*checks):
 
 
 def from_functional_form(f, g, v, b, a, k=None, **kwargs) -> Mosaic:
-    M = Mosaic(v, b, a, f, g, k=k, **kwargs)
+    """Mosaic of a scalar f and a scalar g, checked by
+    :func:`verify_functional_form`; g is vectorized to the array contract."""
+    M = Mosaic(v, b, a, f, np.vectorize(g, otypes=[np.int64]), k=k, **kwargs)
     res = verify_functional_form(M)
     if not res:
         raise ValueError(f"inconsistent functional form: {res.reason} {res.witness}")
@@ -230,23 +238,31 @@ def verify_mosaic(M: Mosaic):
 
 def verify_functional_form(M: Mosaic):
     """Exhaustive consistency of (f, g): for every (s, alpha) the map
-    kappa -> g(s, alpha, kappa) must hit f_s^{-1}(alpha) bijectively.  The
-    colors of g's points are read from the color matrix.  True when it holds,
-    else the first failure as a falsy CheckFailure."""
+    kappa -> g(s, alpha, kappa) must hit f_s^{-1}(alpha) bijectively.  g is
+    called once per seed, on the (a, k) grid of (alpha, kappa); the colors of
+    its points are read from the color matrix.  True when it holds, else the
+    first failure in (s, alpha, kappa) order as a falsy CheckFailure."""
     F = M.color_matrix()
+    g = M._g if M._g is not None else np.vectorize(M.g, otypes=[np.int64])
+    alpha, kappa = np.indices((M.a, M.k))
     for s in range(M.b):
-        for alpha in range(M.a):
-            seen = set()
-            for kappa in range(M.k):
-                x = M.g(s, alpha, kappa)
-                if not 0 <= x < M.v:
-                    return CheckFailure("preimage point out of range", (s, alpha, kappa, x))
-                if x in seen:
-                    return CheckFailure("preimage enumerator repeats a point", (s, alpha, x))
-                seen.add(x)
-                got = int(F[x, s])
-                if got != alpha:
-                    return CheckFailure("f(g(s,alpha,kappa), s) != alpha", (s, alpha, kappa, x, got))
+        X = np.asarray(g(s, alpha, kappa), dtype=np.int64)
+        column = F[:, s]
+        # in range, the right colors and no point twice: the block passes
+        if (0 <= X.min() and X.max() < M.v and (column[X] == alpha).all()
+                and np.bincount(X.ravel(), minlength=M.v).max() == 1):
+            continue
+        out = (X < 0) | (X >= M.v)
+        got = column[np.where(out, 0, X)]
+        # repeat[alpha, kappa]: X[alpha, kappa'] = X[alpha, kappa] for a kappa' < kappa
+        repeat = ((X[:, :, None] == X[:, None, :]) & np.tri(M.k, k=-1, dtype=bool)).any(axis=2)
+        al, kp = divmod(int(np.flatnonzero(out | repeat | (got != alpha))[0]), M.k)
+        x = int(X[al, kp])
+        if out[al, kp]:
+            return CheckFailure("preimage point out of range", (s, al, kp, x))
+        if repeat[al, kp]:
+            return CheckFailure("preimage enumerator repeats a point", (s, al, x))
+        return CheckFailure("f(g(s,alpha,kappa), s) != alpha", (s, al, kp, x, int(got[al, kp])))
     return True
 
 
@@ -293,12 +309,11 @@ def construct_from_resolvable(D: IncidenceStructure, resolution: Resolution, L: 
     r = tact.r
 
     gamma_of = np.empty((D.v, r), dtype=np.int32)
-    block_pts = [[None] * a for _ in range(r)]
     for i, cls in enumerate(res.classes):
         for label, s in enumerate(cls):
-            pts = np.flatnonzero(D.N[:, s])
-            block_pts[i][label] = pts
-            gamma_of[pts, i] = label
+            gamma_of[np.flatnonzero(D.N[:, s]), i] = label
+    # points[i, gamma]: the k points of block gamma of class i, ascending
+    points = np.argsort(gamma_of, axis=0, kind="stable").T.reshape(r, a, tact.k)
 
     def f(x, s):
         i, beta = divmod(s, a)
@@ -306,8 +321,7 @@ def construct_from_resolvable(D: IncidenceStructure, resolution: Resolution, L: 
 
     def g(s, alpha, kappa):
         i, beta = divmod(s, a)
-        gamma = L.solve_right(beta, alpha)
-        return int(block_pts[i][gamma][kappa])
+        return points[i, L._right[beta, alpha], kappa]
 
     return Mosaic(D.v, r * a, a, f, g, k=tact.k, member_params=member_params, meta=meta,
                   form=lambda: (gamma_of, L.table))
@@ -350,9 +364,11 @@ def point_multiple(M: Mosaic, u: int) -> Mosaic:
     def f(x, s):
         return M.f(x // u, s)
 
-    def g(s, alpha, kappa):
-        base, i = divmod(kappa, u)
-        return M.g(s, alpha, base) * u + i
+    g = None
+    if M._g is not None:
+        def g(s, alpha, kappa):
+            base, i = np.divmod(kappa, u)
+            return M._g(s, alpha, base) * u + i
 
     form = None
     if M._form is not None:

@@ -488,3 +488,16 @@ def test_every_command_runs_on_the_large_rung(tmp_path, capsys):
     assert outputs[("bounds", "--scenario", "pa")]["dominates"]
     assert outputs[("simulate", "--scenario", "wiretap")]["decode_errors"] == 0
     assert outputs[("simulate", "--scenario", "pa")]["decode_errors"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["hashprops", "--mosaic", "{path}"],
+    ["bounds", "--scenario", "wiretap", "--channel", "{path}", "--family", "m1", "--t", "2", "--q", "2"],
+    ["bounds", "--scenario", "pa", "--source", "{path}", "--family", "m1", "--t", "2", "--q", "2"],
+], ids=["mosaic", "channel", "source"])
+def test_a_file_that_cannot_be_opened_is_named_once(tmp_path, capsys, argv):
+    path = str(tmp_path / "nothere.file")
+    code, out, err = run(capsys, *[a.format(path=path) for a in argv])
+    error = json.loads(err)["error"]
+    assert code == 2 and out == "" and error.count(path) == 1, error
+    assert error == f"{argv[argv.index('{path}') - 1]} {path}: No such file or directory"

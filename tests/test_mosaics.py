@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from designmosaics.designs import IncidenceStructure, Resolution, verify_bibd, verify_gdd, verify_resolution
+from designmosaics.designs import CheckFailure, IncidenceStructure, Resolution, verify_bibd, verify_gdd, verify_resolution
 from designmosaics.families import ag_design, build_m1, build_m2, build_m3, build_m4
 from designmosaics.field import make_field
 from designmosaics.mosaics import (
@@ -215,9 +215,79 @@ def test_verify_functional_form_catches_wrong_color():
     def bad_f(x, s):
         return (M.f(x, s) + 1) % M.a
 
-    bad = Mosaic(M.v, M.b, M.a, bad_f, M.g, k=M.k)
+    bad = Mosaic(M.v, M.b, M.a, bad_f, M._g, k=M.k)
     res = verify_functional_form(bad)
     assert not res
+    assert res == per_cell_functional_form(bad)
+
+
+def per_cell_functional_form(M):
+    """Oracle of verify_functional_form: one scalar g call per (s, alpha,
+    kappa) in that order, with the first failure as a CheckFailure."""
+    F = M.color_matrix()
+    for s in range(M.b):
+        for alpha in range(M.a):
+            seen = set()
+            for kappa in range(M.k):
+                x = M.g(s, alpha, kappa)
+                if not 0 <= x < M.v:
+                    return CheckFailure("preimage point out of range", (s, alpha, kappa, x))
+                if x in seen:
+                    return CheckFailure("preimage enumerator repeats a point", (s, alpha, x))
+                seen.add(x)
+                got = int(F[x, s])
+                if got != alpha:
+                    return CheckFailure("f(g(s,alpha,kappa), s) != alpha", (s, alpha, kappa, x, got))
+    return True
+
+
+def _m2_with_class_table(c, edit):
+    """build_m2(3, 2) with class table c replaced by a copy changed by edit;
+    g reads the copy, F is built from block_ranks as before."""
+    M = build_m2(3, 2)
+    table = M.geometry.class_table(c).copy()
+    edit(table)
+    M.geometry._class_tables[c] = table
+    return M
+
+
+def _repeat_in_row(table):
+    table[5, 3] = table[5, 1]
+
+
+def _move_to_other_row(table):
+    table[[2, 6], [1, 3]] = table[[6, 2], [3, 1]]
+
+
+def _g_hits_v(M):
+    def g(s, alpha, kappa):
+        return M.v if (s, alpha, kappa) == (9, 4, 2) else M.g(s, alpha, kappa)
+    return Mosaic(M.v, M.b, M.a, M.f, np.vectorize(g, otypes=[np.int64]), k=M.k)
+
+
+def _one_cell_of_F(M):
+    F = M.color_matrix()
+    F[17, 11] = (F[17, 11] + 1) % M.a
+    return M
+
+
+def _repeating_g(M):
+    return Mosaic(M.v, M.b, M.a, M.f, lambda s, alpha, kappa: M._g(s, alpha, 0 * kappa),
+                  k=M.k, member_params=M.member_params)
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda: _m2_with_class_table(2, _repeat_in_row), "preimage enumerator repeats a point"),
+    (lambda: _m2_with_class_table(3, _move_to_other_row), "f(g(s,alpha,kappa), s) != alpha"),
+    (lambda: _one_cell_of_F(build_m2(3, 2)), "f(g(s,alpha,kappa), s) != alpha"),
+    (lambda: _g_hits_v(build_m2(3, 2)), "preimage point out of range"),
+    (lambda: _repeating_g(build_m1(2, 3)), "preimage enumerator repeats a point"),
+    (lambda: build_m2(3, 2), None),
+], ids=["repeat-in-row", "entry-in-other-row", "cell-of-F", "g-hits-v", "repeating-g", "intact"])
+def test_verify_functional_form_returns_the_per_cell_verdict(make, reason):
+    res = verify_functional_form(make())
+    assert res == per_cell_functional_form(make())
+    assert (res is True) if reason is None else res.reason == reason
 
 
 def test_certify_stops_at_the_first_failed_stage():
@@ -241,11 +311,7 @@ def test_certify_stops_at_the_first_failed_stage():
     assert (stage, member) == ("members", 0)
     assert res == verify_bibd(bad.member(0), M.member_params.lam)
 
-    def repeating_g(s, alpha, kappa):
-        return M.g(s, alpha, 0)
-
-    stage, member, res = certify(Mosaic(M.v, M.b, M.a, M.f, repeating_g, k=M.k,
-                                        member_params=M.member_params))
+    stage, member, res = certify(_repeating_g(M))
     assert (stage, member) == ("functional-form", None)
     assert (res.reason, res.witness) == ("preimage enumerator repeats a point",
                                          (0, 0, M.g(0, 0, 0)))

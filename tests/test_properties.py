@@ -2,6 +2,8 @@
 
 * save/load keeps the color matrix F exactly, with and without member files;
 * f(g(s, alpha, kappa), s) = alpha for every drawn (s, alpha, kappa);
+* the array g on the (a, k) grid of a drawn seed equals the scalar g cell by
+  cell, over the grid, ``construct_from_resolvable`` and ``point_multiple``;
 * ``certify`` accepts every family mosaic, and rejects the ``from_members``
   mosaic made by exchanging two different colors F[x, s0], F[x, s1] of one
   row: the partition still holds, but two members lose their block sizes.
@@ -19,7 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from designmosaics.designs import IncidenceStructure
-from designmosaics.mosaics import certify, from_members
+from designmosaics.families import ag_design, build_m1, build_m2
+from designmosaics.field import make_field
+from designmosaics.mosaics import (
+    CyclicQuasigroup,
+    FieldAdditiveQuasigroup,
+    certify,
+    construct_from_resolvable,
+    from_members,
+    point_multiple,
+)
 from designmosaics.serialize import load_mosaic, save_mosaic
 from test_acceptance import _grid_mosaics
 
@@ -56,6 +67,28 @@ def test_f_inverts_g(data):
     alpha = data.draw(st.integers(0, M.a - 1), label="alpha")
     kappa = data.draw(st.integers(0, M.k - 1), label="kappa")
     assert M.f(M.g(s, alpha, kappa), s) == alpha
+
+
+@functools.cache
+def array_g_mosaics():
+    return grid() + (
+        construct_from_resolvable(*ag_design(2, 3), CyclicQuasigroup(3)),
+        construct_from_resolvable(*ag_design(2, 4), FieldAdditiveQuasigroup(make_field(2, 2))),
+        point_multiple(build_m1(2, 3), 2),
+        point_multiple(build_m2(3, 2), 3),
+    )
+
+
+@settings(PROPERTY, max_examples=10)
+@given(st.data())
+def test_array_g_equals_scalar_g_on_a_seed(data):
+    # every mosaic in each example, one drawn seed each
+    for M in array_g_mosaics():
+        s = data.draw(st.integers(0, M.b - 1), label=f"s of {M!r}")
+        alpha, kappa = np.arange(M.a), np.arange(M.k)
+        got = M._g(s, alpha[:, None], kappa[None, :])
+        want = [[M.g(s, al, kp) for kp in range(M.k)] for al in range(M.a)]
+        assert got.shape == (M.a, M.k) and np.array_equal(got, want), (M, s)
 
 
 def test_certify_accepts_every_family_mosaic():
