@@ -7,10 +7,10 @@ Exit codes: 0 success, 1 property-check failure (with a witness in the JSON),
 ``main`` builds its argument parser on its first call and reuses it for every
 later call in the same process; each call parses into a fresh namespace.
 The commands build F through ``Mosaic.color_matrix``: one gather over the
-class and color tables for the families M1, M2, M3 and M4 without the vertical
-slope, and a per-cell fill of f for M4 with it.  Loaded member files set F
-directly from the member matrices, and are certified as ``verify`` certifies
-them (``mosaics.certify``); a file that fails exits 2 on other commands.
+class and color tables for the families M1, M2 and M3, and one call of the
+array-level f for M4.  Loaded member files set F directly from the member
+matrices, and are certified as ``verify`` certifies them (``mosaics.certify``);
+a file that fails exits 2 on other commands.
 """
 
 from __future__ import annotations
@@ -59,7 +59,15 @@ def _emit(payload, out):
     if out in (None, "-"):
         print(text)
     else:
-        Path(out).write_text(text)
+        _write_out(out, lambda path: Path(path).write_text(text))
+
+
+def _write_out(path, write):
+    """``write(path)``; an OSError is an error of --out naming the path once."""
+    try:
+        return write(path)
+    except OSError as exc:
+        raise CliError(f"--out {path}: {exc.strerror}") from None
 
 
 def _json_default(obj):
@@ -69,13 +77,14 @@ def _json_default(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     return str(obj)
 
 
+FAMILY_FLAGS = ("t", "l", "q", "k", "u")
+
+
 def _family_params(args) -> dict:
-    return {k: getattr(args, k) for k in ("t", "l", "q", "k", "u") if getattr(args, k) is not None}
+    return {k: getattr(args, k) for k in FAMILY_FLAGS if getattr(args, k) is not None}
 
 
 def _build(args):
@@ -88,8 +97,8 @@ def _build(args):
         _check_opens("--mosaic", path)
         try:
             M = load_mosaic(path)
-            # of the loaded mosaics, only those read from member files lack g
-            fail = args.command != "verify" and M._g is None and certify(M)
+            # of the loaded mosaics, only those read from member files hold F
+            fail = args.command != "verify" and M._colors is not None and certify(M)
         except (ValueError, OSError) as exc:
             raise CliError(f"--mosaic {path}: {exc}") from None
         if fail:
@@ -100,6 +109,10 @@ def _build(args):
         return M
     if not args.family:
         raise CliError("either --family with parameters or --mosaic is required")
+    _, names, optional = FAMILY_BUILDERS[args.family]
+    for name in _family_params(args):
+        if name not in names + optional:
+            raise CliError(f"--{name} is not a parameter of family {args.family}, which takes {names}")
     return build_family(args.family, **_family_params(args))
 
 
@@ -175,9 +188,9 @@ def _parse_pa(spec, a):
 
 def cmd_gen(args):
     M = _build(args)
-    head = save_mosaic(M, args.out or "mosaic.json", members=args.members)
-    print(json.dumps({"written": args.out or "mosaic.json", "header": head},
-                     indent=2, default=_json_default))
+    out = args.out or "mosaic.json"
+    head = _write_out(out, lambda path: save_mosaic(M, path, members=args.members))
+    print(json.dumps({"written": out, "header": head}, indent=2, default=_json_default))
     return 0
 
 
@@ -196,8 +209,7 @@ def cmd_verify(args):
     if stage in ("mosaic", "functional-form"):
         result.update(ok=False, stage=stage, **why)
     elif not fail:
-        if M._g is not None:
-            result["functional_form"] = "consistent"
+        result["functional_form"] = "consistent"
         result["ok"] = True
         result["member_params"] = params_to_json(M.member_params) if M.member_params else None
         result["inputs_hash"] = content_hash(result)
@@ -293,17 +305,18 @@ def cmd_simulate(args):
     return 0 if res.passed else 1
 
 
-def _add_family_flags(p):
+def _add_command(sub, name, fn, help):
+    """A subcommand running ``fn``, with the flags that every command takes."""
+    p = sub.add_parser(name, help=help)
     p.add_argument("--family", choices=sorted(FAMILY_BUILDERS))
-    p.add_argument("--t", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--u", type=int)
+    for flag in FAMILY_FLAGS:
+        p.add_argument(f"--{flag}", type=int)
     p.add_argument("--mosaic", help="mosaic JSON header written by gen")
     p.add_argument("--out", help="output path; '-' or omitted for stdout")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,48 +325,31 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="build a mosaic and write its JSON header (+CSV members)")
-    _add_family_flags(p)
+    p = _add_command(sub, "gen", cmd_gen, "build a mosaic and write its JSON header (+CSV members)")
     p.add_argument("--members", action="store_true", help="also write one CSV per color")
-    p.set_defaults(fn=cmd_gen)
+    _add_command(sub, "verify", cmd_verify, "re-check partition, member and inverse properties")
+    _add_command(sub, "rates", cmd_rates, "color/block rates and optimality verdict")
 
-    p = sub.add_parser("verify", help="re-check partition, member and inverse properties")
-    _add_family_flags(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("rates", help="color/block rates and optimality verdict")
-    _add_family_flags(p)
-    p.set_defaults(fn=cmd_rates)
-
-    p = sub.add_parser("bounds", help="exact metrics vs. theorem bounds")
-    _add_family_flags(p)
+    p = _add_command(sub, "bounds", cmd_bounds, "exact metrics vs. theorem bounds")
     p.add_argument("--scenario", choices=("wiretap", "pa"), default="wiretap")
     p.add_argument("--channel")
     p.add_argument("--source")
     p.add_argument("--pa", help="uniform | point:IDX | comma-separated weights")
-    p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("exact", help="exact-identity checks on random channels/sources")
-    _add_family_flags(p)
+    p = _add_command(sub, "exact", cmd_exact, "exact-identity checks on random channels/sources")
     p.add_argument("--check", choices=("prop41", "prop42"), required=True)
     p.add_argument("--channel", default="random")
     p.add_argument("--source", default="random")
     p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(fn=cmd_exact)
+    _add_command(sub, "hashprops", cmd_hashprops, "collision spectrum and universality report")
 
-    p = sub.add_parser("hashprops", help="collision spectrum and universality report")
-    _add_family_flags(p)
-    p.set_defaults(fn=cmd_hashprops)
-
-    p = sub.add_parser("simulate", help="Monte Carlo roundtrips calibrated against exact laws")
-    _add_family_flags(p)
+    p = _add_command(sub, "simulate", cmd_simulate, "Monte Carlo roundtrips calibrated against exact laws")
     p.add_argument("--scenario", choices=("wiretap", "pa"), default="wiretap")
     p.add_argument("--channel")
     p.add_argument("--source")
     p.add_argument("--pa")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--significance", type=float, default=1e-3)
-    p.set_defaults(fn=cmd_simulate)
     return ap
 
 
@@ -364,6 +360,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _check_numeric_flags(args):
     """Reject numeric flags outside their domain; the parser checks only types."""
+    if args.seed < 0:
+        raise CliError(f"--seed must be nonnegative, got {args.seed}")
     if not (np.isfinite(args.tol) and args.tol >= 0):
         raise CliError(f"--tol must be finite and nonnegative, got {args.tol}")
     if getattr(args, "trials", 1) < 1:

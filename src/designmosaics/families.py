@@ -436,7 +436,8 @@ def build_m4(k: int, q: int, slopes=None) -> Mosaic:
     the block (s1, s2) is a point of AG(2, q).  Member alpha declares them
     incident when c s1 + d - s2 = alpha, so f(c, d; s1, s2) = c s1 + d - s2,
     and d = alpha + s2 - c s1 solves the preimage for each slope.  Vertical
-    lines use the shifted rule d = s1 - alpha.
+    lines use the shifted rule d = s1 - alpha.  f and g select between the two
+    rules element-wise, so both broadcast over any slope set.
     """
     p, e = prime_power(q)
     if not 2 <= k <= q + 1:
@@ -453,11 +454,9 @@ def build_m4(k: int, q: int, slopes=None) -> Mosaic:
     flat = np.where(slope == q, 0, slope)        # the vertical slope's row is unused
 
     def f(x, s):
-        ci, d = divmod(x, q)
-        s1, s2 = divmod(s, q)
-        if R[ci] == q:
-            return int(add[s1, neg[d]])
-        return int(add[add[mul[R[ci], s1], d], neg[s2]])
+        ci, d = x // q, x % q
+        s1, s2 = s // q, s % q
+        return np.where(slope[ci] == q, add[s1, neg[d]], add[add[mul[flat[ci], s1], d], neg[s2]])
 
     def g(s, alpha, kappa):
         s1, s2 = divmod(s, q)
@@ -465,19 +464,11 @@ def build_m4(k: int, q: int, slopes=None) -> Mosaic:
                      add[add[alpha, s2], neg[mul[flat[kappa], s1]]])
         return kappa * q + d
 
-    def form():
-        # class s1, shift beta = s2: G[(c, d), s1] = c s1 + d, L[beta, gamma] = gamma - beta
-        c = np.repeat(R, q)[:, None]
-        d = np.tile(np.arange(q), k)[:, None]
-        return add[mul[c, np.arange(q)[None, :]], d], add[:, neg].T
-
     partition = tuple(tuple(range(ci * q, (ci + 1) * q)) for ci in range(k))
     gdd = GDDParams(u=q, m=k, k=k, lambda1=0, lambda2=1,
                     v=q * k, r=q, b=q * q, partition=partition)
-    # on a vertical line f = s1 - d does not depend on s2, so no L fits
     return Mosaic(gdd.v, gdd.b, q, f, g, k=k, member_params=gdd,
-                  meta={"family": "m4", "k": k, "q": q, "slopes": list(R)},
-                  form=None if q in R else form)
+                  meta={"family": "m4", "k": k, "q": q, "slopes": list(R)})
 
 
 def td_design(k: int, q: int, slopes=None):

@@ -17,10 +17,10 @@ s = i a + beta.  A :class:`Quasigroup` is its Latin square L[beta, gamma].
 Such a mosaic may carry a ``form``: a callable returning its (v, b/a) class
 table G[x, i] = gamma_i(x) and its (a, a) color table L.  Its color matrix is
 then one gather over (G, L): so for ``construct_from_resolvable``,
-``point_multiple`` of such a mosaic, and the families M1, M2, M3 and M4
-without the vertical slope.  ``from_members`` sets F from the member matrices
-and ``dual_mosaic`` to the base's F transposed; hand-made functional forms and
-M4 with the vertical slope fill F by calling f once per cell.
+``point_multiple`` of such a mosaic, and the families M1, M2 and M3.
+``from_members`` sets F from the member matrices and ``dual_mosaic`` to the
+base's F transposed; g of both reads a stable sort of F's column.  The rest,
+M4 included, broadcast f over arrays of points and seeds: one call fills F.
 """
 
 from __future__ import annotations
@@ -102,9 +102,9 @@ MEMBER_KINDS = {BIBDParams: "bibd", GDDParams: "gdd"}
 class Mosaic:
     """Color-indexed family (D_alpha) on [v] x [b], held as a functional form.
 
-    ``f(x, s)`` takes scalars; ``g(s, alpha, kappa)`` takes a scalar seed and
-    integer arrays for alpha and kappa, broadcasts them and returns the array
-    of points.  :meth:`g` checks its scalar arguments and returns an int.
+    ``f(x, s)`` broadcasts integer arrays of points and seeds (with a ``form``
+    it may take scalars only); ``g(s, alpha, kappa)`` broadcasts arrays of
+    alpha and kappa at one scalar seed.  :meth:`f` and :meth:`g` return ints.
     ``member_params`` (``BIBDParams`` or ``GDDParams``) describes the common
     parameters of all members when known; the member kind and the shared point
     classes of GDD members are read from it.  ``form``, when given, is a
@@ -113,7 +113,7 @@ class Mosaic:
     once, by the first :meth:`color_matrix`.
     """
 
-    def __init__(self, v, b, a, f, g=None, k=None, member_params=None, meta=None, form=None):
+    def __init__(self, v, b, a, f, g, k=None, member_params=None, meta=None, form=None):
         self.v = v
         self.b = b
         self.a = a
@@ -146,32 +146,28 @@ class Mosaic:
     def f(self, x, s):
         if not (0 <= x < self.v and 0 <= s < self.b):
             _out_of_range(("x", x, self.v), ("s", s, self.b))
-        return self._f(x, s)
+        return int(self._f(x, s))
 
     def g(self, s, alpha, kappa):
         if not (0 <= s < self.b and 0 <= alpha < self.a and 0 <= kappa < self.k):
             _out_of_range(("s", s, self.b), ("alpha", alpha, self.a), ("kappa", kappa, self.k))
-        if self._g is not None:
-            return int(self._g(s, alpha, kappa))
-        return int(np.flatnonzero(self.color_matrix()[:, s] == alpha)[kappa])
+        return int(self._g(s, alpha, kappa))
 
     # -- materialization --------------------------------------------------------
 
     def color_matrix(self) -> np.ndarray:
         """The (v, b) int32 matrix F[x, s] = f(x, s), built on first use and
         cached.  With the resolvable form, column i a + beta of F is
-        L[beta, G[:, i]], so F is one gather L.T[G]; without it, F is filled
-        by calling f once per cell."""
+        L[beta, G[:, i]], so F is one gather L.T[G]; without it, F is one
+        call f(arange(v)[:, None], arange(b))."""
         if self._colors is None:
             if self._form is not None:
                 G, L = self._form()
                 F = np.ascontiguousarray(L.T, dtype=np.int32)[G].reshape(self.v, self.b)
             else:
-                F = np.empty((self.v, self.b), dtype=np.int32)
-                f = self._f
-                for x in range(self.v):
-                    for s in range(self.b):
-                        F[x, s] = f(x, s)
+                F = np.array(self._f(np.arange(self.v)[:, None], np.arange(self.b)), dtype=np.int32)
+                if F.shape != (self.v, self.b):
+                    raise ValueError(f"f over [v] x [b] has shape {F.shape}, not {(self.v, self.b)}")
             self._colors = F
         return self._colors
 
@@ -190,8 +186,8 @@ def _out_of_range(*checks):
 
 def from_functional_form(f, g, v, b, a, k=None, **kwargs) -> Mosaic:
     """Mosaic of a scalar f and a scalar g, checked by
-    :func:`verify_functional_form`; g is vectorized to the array contract."""
-    M = Mosaic(v, b, a, f, np.vectorize(g, otypes=[np.int64]), k=k, **kwargs)
+    :func:`verify_functional_form`; both are vectorized to the array contract."""
+    M = Mosaic(v, b, a, *(np.vectorize(h, otypes=[np.int64]) for h in (f, g)), k=k, **kwargs)
     res = verify_functional_form(M)
     if not res:
         raise ValueError(f"inconsistent functional form: {res.reason} {res.witness}")
@@ -199,8 +195,12 @@ def from_functional_form(f, g, v, b, a, k=None, **kwargs) -> Mosaic:
 
 
 def _from_colors(F, a, k=None, member_params=None, meta=None) -> Mosaic:
-    """Mosaic held by its color matrix F alone: f reads F, g scans a column."""
-    M = Mosaic(F.shape[0], F.shape[1], a, lambda x, s: int(F[x, s]), None, k=k,
+    """Mosaic held by its color matrix F alone: f reads F, and g reads column
+    s stably sorted by color, whose k points of color alpha start at alpha k."""
+    def g(s, alpha, kappa):
+        return np.argsort(F[:, s], kind="stable")[alpha * M.k + kappa]
+
+    M = Mosaic(F.shape[0], F.shape[1], a, lambda x, s: F[x, s], g, k=k,
                member_params=member_params, meta=meta)
     M._colors = F
     return M
@@ -243,10 +243,9 @@ def verify_functional_form(M: Mosaic):
     its points are read from the color matrix.  True when it holds, else the
     first failure in (s, alpha, kappa) order as a falsy CheckFailure."""
     F = M.color_matrix()
-    g = M._g if M._g is not None else np.vectorize(M.g, otypes=[np.int64])
     alpha, kappa = np.indices((M.a, M.k))
     for s in range(M.b):
-        X = np.asarray(g(s, alpha, kappa), dtype=np.int64)
+        X = np.asarray(M._g(s, alpha, kappa), dtype=np.int64)
         column = F[:, s]
         # in range, the right colors and no point twice: the block passes
         if (0 <= X.min() and X.max() < M.v and (column[X] == alpha).all()
@@ -270,7 +269,7 @@ def certify(M: Mosaic):
     """The first failed check of M as (stage, member, failure), else None: stage
     'mosaic' is :func:`verify_mosaic`, 'members' checks each member by
     ``verify_bibd`` or ``verify_gdd`` against ``member_params``, and
-    'functional-form' is :func:`verify_functional_form`, when M has its own g."""
+    'functional-form' is :func:`verify_functional_form`."""
     res = verify_mosaic(M)
     if not res:
         return "mosaic", None, res
@@ -280,10 +279,9 @@ def certify(M: Mosaic):
                else verify_gdd(M.member(alpha), M.point_classes, p.lambda1, p.lambda2))
         if not res:
             return "members", alpha, res
-    if M._g is not None:
-        res = verify_functional_form(M)
-        if not res:
-            return "functional-form", None, res
+    res = verify_functional_form(M)
+    if not res:
+        return "functional-form", None, res
     return None
 
 
@@ -362,13 +360,11 @@ def point_multiple(M: Mosaic, u: int) -> Mosaic:
                     v=u * M.v, r=bp.r, b=M.b, partition=classes)
 
     def f(x, s):
-        return M.f(x // u, s)
+        return M._f(x // u, s)
 
-    g = None
-    if M._g is not None:
-        def g(s, alpha, kappa):
-            base, i = np.divmod(kappa, u)
-            return M._g(s, alpha, base) * u + i
+    def g(s, alpha, kappa):
+        base, i = np.divmod(kappa, u)
+        return M._g(s, alpha, base) * u + i
 
     form = None
     if M._form is not None:

@@ -262,8 +262,11 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
     alphas = rng.choice(M.a, size=n, p=p_a)
     seeds = rng.integers(0, M.b, size=n)
     kappas = rng.integers(0, M.k, size=n)
-    xs = np.fromiter((M.g(int(s), int(al), int(kp))
-                      for s, al, kp in zip(seeds, alphas, kappas)), dtype=np.int64, count=n)
+    # one array call of g per distinct seed, over the trials that drew it
+    order = np.argsort(seeds, kind="stable")
+    xs = np.empty(n, dtype=np.int64)
+    for run in np.split(order, np.flatnonzero(np.diff(seeds[order])) + 1):
+        xs[run] = M._g(int(seeds[run[0]]), alphas[run], kappas[run])
     decode_errors = int((M.color_matrix()[xs, seeds] != alphas).sum())
     zs = _draw_outputs(cfg.channel.W, xs, rng)
 

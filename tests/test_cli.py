@@ -155,7 +155,8 @@ def test_only_member_files_are_certified_outside_verify(tmp_path, capsys, monkey
         path.parent.mkdir()
         run(capsys, "gen", "--family", "m2", "--t", "2", "--l", "1", *members, "--out", str(path))
         assert run(capsys, "hashprops", "--mosaic", str(path))[0] == 0
-    assert len(certified) == 1 and certified[0]._g is None
+    # the member file's mosaic, held by F alone; the rebuilt m2 has its form
+    assert len(certified) == 1 and certified[0]._form is None
 
 
 @pytest.mark.parametrize("argv,flag,content", [
@@ -206,6 +207,17 @@ def test_verify_family_build(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] and payload["functional_form"] == "consistent"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("rates", "--family", "m4", "--k", "3", "--q", "4", "--t", "9", "--l", "2"), "--t"),
+    (("verify", "--family", "m1", "--t", "2", "--q", "2", "--u", "3"), "--u"),
+    (("hashprops", "--family", "m2", "--t", "3", "--l", "2", "--k", "4"), "--k"),
+])
+def test_family_flags_the_family_does_not_take_are_rejected(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith(f"{flag} is not a parameter of family {argv[2]}")
 
 
 def test_rates_reports_nonoptimal_m1_t3(capsys):
@@ -312,6 +324,15 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                  ("bounds", *m1, "--scenario", "pa", "--source", missing)):
         code, _, err = run(capsys, *argv)
         assert code == 2 and missing in json.loads(err)["error"]
+    code, _, err = run(capsys, "bounds", *m1, "--channel", "random", "--seed", "-1")
+    assert code == 2 and "--seed" in json.loads(err)["error"] and "-1" in json.loads(err)["error"]
+    unwritable = str(tmp_path / "absent" / "x.json")
+    for argv in (("bounds", *m1, "--channel", "identity", "--out", unwritable),
+                 ("gen", *m1, "--out", unwritable),
+                 ("gen", *m1, "--members", "--out", unwritable)):
+        code, _, err = run(capsys, *argv)
+        error = json.loads(err)["error"]
+        assert code == 2 and error.startswith(f"--out {unwritable}: ") and error.count(unwritable) == 1, argv
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--family", "m9"])     # argparse rejects the choice
     assert exc.value.code == 2

@@ -2,9 +2,9 @@
 
 A mosaic with the resolvable form f(x, i a + beta) = L[beta, G[x, i]] builds
 F as ``L.T[G]``; ``from_members`` and ``dual_mosaic`` take F from the member
-matrices and the base's F, and the rest fill F by calling f once per cell.
-The oracle here is that per-cell fill through the scalar ``M.f``, compared as
-int32 integer equality.
+matrices and the base's F, and the rest, M4 included, fill F with one call of
+the array-level f.  The oracle here is a per-cell fill through the scalar
+``M.f``, compared as int32 integer equality.
 """
 
 import numpy as np
@@ -26,6 +26,7 @@ from designmosaics.mosaics import (
     Quasigroup,
     construct_from_resolvable,
     dual_mosaic,
+    from_functional_form,
     from_members,
     point_multiple,
     sample_inverse,
@@ -53,9 +54,8 @@ def assert_gather_matches(M):
 
 def test_gather_matches_scalar_fill_on_acceptance_grid():
     for M in _grid_mosaics():
-        if M.meta["family"] == "m4" and M.meta["q"] in M.meta["slopes"]:
-            continue
-        assert_gather_matches(M)
+        if M.meta["family"] != "m4":
+            assert_gather_matches(M)
 
 
 def test_gather_matches_scalar_fill_for_construct_from_resolvable():
@@ -81,7 +81,6 @@ def test_gather_matches_scalar_fill_for_point_multiples():
 
 
 def test_gather_matches_scalar_fill_on_larger_rungs():
-    assert_gather_matches(build_m4(8, 16))
     M3 = build_m3(3, 2, 2)
     assert_gather_matches(M3)
     assert M3.base._colors is None
@@ -97,14 +96,23 @@ def test_gather_matches_scalar_fill_on_m2_6_3_columns():
     assert np.array_equal(F[:, cols], scalar_color_matrix(M, cols.tolist()))
 
 
-def test_mosaics_without_the_form_keep_the_per_cell_fill():
-    # M4 with the vertical slope: f = s1 - d on a vertical line does not
-    # depend on beta = s2, so no color table fits and F is filled per cell
-    vertical = [build_m4(k, q) for k, q in M4_GRID if k == q + 1]
-    vertical.append(build_m4(3, 4, slopes=(0, 2, 4)))
-    for M in vertical:
-        assert M._form is None
-        assert np.array_equal(M.color_matrix(), scalar_color_matrix(M)), M
+def test_mosaics_without_the_form_fill_F_with_one_call_of_f():
+    # every M4, the vertical slope first, in the middle, last or absent; a
+    # hand-made functional form; a point multiple of a mosaic held by F alone
+    m4 = [build_m4(k, q) for k, q in M4_GRID] + [build_m4(8, 16)]
+    m4 += [build_m4(3, 4, slopes=R) for R in ((4, 0, 1), (0, 4, 2), (0, 2, 4))]
+    base = build_m1(2, 3)
+    others = [from_functional_form(base.f, base.g, base.v, base.b, base.a, k=base.k),
+              point_multiple(from_members(base.members(), member_params=base.member_params), 2)]
+    for M in m4 + others:
+        assert M._form is None, M
+        M._colors = None    # from_functional_form built F when it verified (f, g)
+        calls = []
+        f = M._f
+        M._f = lambda x, s, f=f: calls.append(1) or f(x, s)
+        F = M.color_matrix()
+        assert len(calls) == 1, M
+        assert F.dtype == np.int32 and np.array_equal(F, scalar_color_matrix(M)), M
 
 
 def test_from_members_and_dual_mosaic_take_f_from_arrays():

@@ -215,10 +215,17 @@ def test_verify_functional_form_catches_wrong_color():
     def bad_f(x, s):
         return (M.f(x, s) + 1) % M.a
 
-    bad = Mosaic(M.v, M.b, M.a, bad_f, M._g, k=M.k)
+    bad = Mosaic(M.v, M.b, M.a, np.vectorize(bad_f), M._g, k=M.k)
     res = verify_functional_form(bad)
     assert not res
     assert res == per_cell_functional_form(bad)
+
+
+def test_color_matrix_rejects_an_f_that_does_not_broadcast():
+    # without a form, F is one call of f over [v] x [b]; a scalar-only f fails loudly
+    M = Mosaic(2, 3, 1, lambda x, s: 0, lambda s, alpha, kappa: kappa, k=2)
+    with pytest.raises(ValueError, match=r"shape \(\), not \(2, 3\)"):
+        M.color_matrix()
 
 
 def per_cell_functional_form(M):
@@ -262,7 +269,7 @@ def _move_to_other_row(table):
 def _g_hits_v(M):
     def g(s, alpha, kappa):
         return M.v if (s, alpha, kappa) == (9, 4, 2) else M.g(s, alpha, kappa)
-    return Mosaic(M.v, M.b, M.a, M.f, np.vectorize(g, otypes=[np.int64]), k=M.k)
+    return Mosaic(M.v, M.b, M.a, np.vectorize(M.f), np.vectorize(g, otypes=[np.int64]), k=M.k)
 
 
 def _one_cell_of_F(M):
@@ -272,8 +279,14 @@ def _one_cell_of_F(M):
 
 
 def _repeating_g(M):
-    return Mosaic(M.v, M.b, M.a, M.f, lambda s, alpha, kappa: M._g(s, alpha, 0 * kappa),
+    return Mosaic(M.v, M.b, M.a, np.vectorize(M.f), lambda s, alpha, kappa: M._g(s, alpha, 0 * kappa),
                   k=M.k, member_params=M.member_params)
+
+
+def _member_twice():
+    # every pair is covered twice: a column holds all v points in color 0 and
+    # none in color 1, so g reads points of color 0 for color 1
+    return from_members([ag_design(2, 2)[0]] * 2)
 
 
 @pytest.mark.parametrize("make, reason", [
@@ -282,8 +295,10 @@ def _repeating_g(M):
     (lambda: _one_cell_of_F(build_m2(3, 2)), "f(g(s,alpha,kappa), s) != alpha"),
     (lambda: _g_hits_v(build_m2(3, 2)), "preimage point out of range"),
     (lambda: _repeating_g(build_m1(2, 3)), "preimage enumerator repeats a point"),
+    (_member_twice, "f(g(s,alpha,kappa), s) != alpha"),
     (lambda: build_m2(3, 2), None),
-], ids=["repeat-in-row", "entry-in-other-row", "cell-of-F", "g-hits-v", "repeating-g", "intact"])
+], ids=["repeat-in-row", "entry-in-other-row", "cell-of-F", "g-hits-v", "repeating-g",
+        "member-twice", "intact"])
 def test_verify_functional_form_returns_the_per_cell_verdict(make, reason):
     res = verify_functional_form(make())
     assert res == per_cell_functional_form(make())
@@ -293,8 +308,10 @@ def test_verify_functional_form_returns_the_per_cell_verdict(make, reason):
 def test_certify_stops_at_the_first_failed_stage():
     M = build_m1(2, 2)
     assert certify(M) is None
-    # without member parameters there is no member stage, without g no (f, g) stage
+    # without member parameters there is no member stage; g of a mosaic held
+    # by F alone reads F, and the (f, g) stage passes on a valid F
     assert certify(from_members(M.members())) is None
+    assert verify_functional_form(_member_twice()).witness == (0, 1, 0, 2, 0)
 
     D, _ = ag_design(2, 2)
     stage, member, res = certify(from_members([D, D], member_params=M.member_params))
@@ -310,6 +327,9 @@ def test_certify_stops_at_the_first_failed_stage():
     stage, member, res = certify(bad)
     assert (stage, member) == ("members", 0)
     assert res == verify_bibd(bad.member(0), M.member_params.lam)
+    # without member parameters the (f, g) stage finds the column of point 0
+    stage, member, res = certify(from_members(bad.members()))
+    assert (stage, member, res.reason) == ("functional-form", None, "f(g(s,alpha,kappa), s) != alpha")
 
     stage, member, res = certify(_repeating_g(M))
     assert (stage, member) == ("functional-form", None)

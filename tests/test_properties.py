@@ -4,6 +4,8 @@
 * f(g(s, alpha, kappa), s) = alpha for every drawn (s, alpha, kappa);
 * the array g on the (a, k) grid of a drawn seed equals the scalar g cell by
   cell, over the grid, ``construct_from_resolvable`` and ``point_multiple``;
+* the array f of every mosaic without a form, on a drawn block of points and
+  seeds, equals the scalar f cell by cell;
 * ``certify`` accepts every family mosaic, and rejects the ``from_members``
   mosaic made by exchanging two different colors F[x, s0], F[x, s1] of one
   row: the partition still holds, but two members lose their block sizes.
@@ -21,18 +23,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from designmosaics.designs import IncidenceStructure
-from designmosaics.families import ag_design, build_m1, build_m2
+from designmosaics.families import ag_design, build_m1, build_m2, build_m4
 from designmosaics.field import make_field
 from designmosaics.mosaics import (
     CyclicQuasigroup,
     FieldAdditiveQuasigroup,
     certify,
     construct_from_resolvable,
+    dual_mosaic,
     from_members,
     point_multiple,
 )
 from designmosaics.serialize import load_mosaic, save_mosaic
-from test_acceptance import _grid_mosaics
+from test_acceptance import M4_GRID, _grid_mosaics
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -89,6 +92,32 @@ def test_array_g_equals_scalar_g_on_a_seed(data):
         got = M._g(s, alpha[:, None], kappa[None, :])
         want = [[M.g(s, al, kp) for kp in range(M.k)] for al in range(M.a)]
         assert got.shape == (M.a, M.k) and np.array_equal(got, want), (M, s)
+
+
+@functools.cache
+def array_f_mosaics():
+    # M4 with the vertical slope q first, in the middle, last or absent; the
+    # mosaics held by F alone; a point multiple of one of them
+    m4 = [build_m4(k, q) for k, q in M4_GRID]
+    m4 += [build_m4(4, 5, slopes=R) for R in ((5, 0, 1, 2), (0, 1, 5, 3), (4, 2, 0, 5))]
+    held = [make(M) for M in grid() for make in (lambda M: from_members(M.members()), dual_mosaic)]
+    base = build_m1(2, 3)
+    pm = point_multiple(from_members(base.members(), member_params=base.member_params), 3)
+    return tuple(m4 + held + [pm])
+
+
+@settings(PROPERTY, max_examples=10)
+@given(st.data())
+def test_array_f_equals_scalar_f_on_a_block(data):
+    for M in array_f_mosaics():
+        assert M._form is None, M
+        x = np.array(data.draw(st.lists(st.integers(0, M.v - 1), min_size=1, max_size=6),
+                               label=f"x of {M!r}"))
+        s = np.array(data.draw(st.lists(st.integers(0, M.b - 1), min_size=1, max_size=6),
+                               label=f"s of {M!r}"))
+        got = M._f(x[:, None], s[None, :])
+        want = [[M.f(int(xi), int(si)) for si in s] for xi in x]
+        assert np.shape(got) == (len(x), len(s)) and np.array_equal(got, want), (M, x, s)
 
 
 def test_certify_accepts_every_family_mosaic():

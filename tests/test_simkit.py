@@ -1,10 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
+from designmosaics.cli import main
 from designmosaics.families import build_m1, build_m4
+from designmosaics.mosaics import Mosaic
+from designmosaics.serialize import load_mosaic, save_mosaic
 from designmosaics.security import Channel, PAJoint, WiretapJoint, exact_wiretap_metrics
 from designmosaics.simkit import (
     SimConfig,
@@ -414,3 +418,52 @@ def test_roundtrips_hold_no_dense_cell_array():
         SimConfig(mosaic=M, trials=2000, seed=3, channel=W))) <= 2.5 * law
     assert _build_peak(lambda: pa_roundtrip(
         SimConfig(mosaic=M, trials=2000, seed=3, source=src))) <= 2.5 * law
+
+
+# -- the encoder: one array call of g per distinct seed ------------------------
+
+def encode_oracle(M, seeds, alphas, kappas):
+    """One scalar g call per trial."""
+    return np.array([M.g(int(s), int(al), int(kp)) for s, al, kp in zip(seeds, alphas, kappas)])
+
+
+def _member_file_mosaic(tmp_path, M):
+    path = tmp_path / "mosaic.json"
+    save_mosaic(M, path, members=True)
+    return load_mosaic(path), path
+
+
+def test_wiretap_encoder_matches_the_per_trial_oracle(tmp_path):
+    # through the identity channel z = x, so the cells carry the encoded points
+    loaded, _ = _member_file_mosaic(tmp_path, build_m4(3, 4, slopes=(0, 4, 2)))
+    for M in _grid_mosaics() + [loaded]:
+        n, seed = 300, 5
+        res = wiretap_roundtrip(SimConfig(mosaic=M, trials=n, seed=seed,
+                                          channel=identity_channel(M.v)))
+        rng = np.random.default_rng(seed)
+        alphas = rng.choice(M.a, size=n, p=np.full(M.a, 1.0 / M.a))
+        seeds = rng.integers(0, M.b, size=n)
+        kappas = rng.integers(0, M.k, size=n)
+        assert np.array_equal(res.cells // (M.b * M.a), encode_oracle(M, seeds, alphas, kappas)), M
+        assert res.decode_errors == 0, M
+
+
+def test_wiretap_encoder_calls_g_once_per_distinct_seed(monkeypatch):
+    def scalar_g(*args):
+        raise AssertionError("Mosaic.g called")
+    monkeypatch.setattr(Mosaic, "g", scalar_g)
+    for M, n in ((build_m1(2, 3), 40), (build_m1(2, 3), 3), (build_m4(4, 3), 500)):
+        calls = []
+        g = M._g
+        M._g = lambda s, alpha, kappa, g=g: calls.append(s) or g(s, alpha, kappa)
+        wiretap_roundtrip(SimConfig(mosaic=M, trials=n, seed=2, channel=identity_channel(M.v),
+                                    batches=min(10, n)))
+        assert len(calls) == len(set(calls)) <= min(n, M.b), (M, n)
+
+
+def test_simulate_passes_on_a_member_file(tmp_path, capsys):
+    _, path = _member_file_mosaic(tmp_path, build_m1(2, 3))
+    code = main(["simulate", "--mosaic", str(path), "--channel", "symmetric:0.2",
+                 "--trials", "2000", "--seed", "3"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["passed"] and payload["decode_errors"] == 0
