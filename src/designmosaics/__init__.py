@@ -93,7 +93,6 @@ from .security import (
     pa_report,
     prop41_check,
     prop42_check,
-    renyi2_entropy,
     tv,
     wiretap_report,
 )

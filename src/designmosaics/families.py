@@ -7,7 +7,8 @@
   of the arc geometry, its inverse reads per-class block tables.
 * ``build_m3``: u-fold point multiples of M2 mosaics, singular GDDs.
 * ``build_m4``: mosaics of (q, k, 1) transversal designs obtained from duals
-  of affine planes with deleted parallel classes.
+  of affine planes with deleted parallel classes; f is one affine rule per
+  slope class.
 
 The base design of each family is the resolvable design of its class table
 G, block i a + gamma = {x : G[x, i] = gamma}: ``ag_design`` reads M1's
@@ -165,12 +166,6 @@ class DennistonGeometry:
         raise AssertionError("no irreducible quadratic form found")
 
     # -- basic geometry --------------------------------------------------------
-
-    def quadratic_form(self, x: int, y: int) -> int:
-        gf = self.gf
-        return gf.add(gf.add(gf.mul(self.eta1, gf.mul(x, x)),
-                             gf.mul(self.eta2, gf.mul(x, y))),
-                      gf.mul(self.eta3, gf.mul(y, y)))
 
     def e_coeff(self, c: int) -> int:
         """eta1 + eta2 c + eta3 c^2, with the vertical convention e_inf = eta3."""
@@ -434,10 +429,12 @@ def build_m4(k: int, q: int, slopes=None) -> Mosaic:
 
     The point (c, d) is the line y = c x + d (x = d for the vertical slope);
     the block (s1, s2) is a point of AG(2, q).  Member alpha declares them
-    incident when c s1 + d - s2 = alpha, so f(c, d; s1, s2) = c s1 + d - s2,
-    and d = alpha + s2 - c s1 solves the preimage for each slope.  Vertical
-    lines use the shifted rule d = s1 - alpha.  f and g select between the two
-    rules element-wise, so both broadcast over any slope set.
+    incident when c s1 + d - s2 = alpha, and a vertical line when
+    s1 - d = alpha.  Each slope class thus has one affine rule
+    f = A s1 + B d + C s2, with (A, B, C) = (c, 1, -1) for a slope c and
+    (1, -1, 0) for the vertical slope; g solves it for d, B = +-1 being its
+    own inverse.  Both read the coefficients of each point's class, so they
+    broadcast over any slope set.
     """
     p, e = prime_power(q)
     if not 2 <= k <= q + 1:
@@ -450,19 +447,17 @@ def build_m4(k: int, q: int, slopes=None) -> Mosaic:
     if any(not 0 <= c <= q for c in R):
         raise ValueError("slopes must lie in F_q plus the vertical slope q")
     add, mul, neg = _field_tables(make_field(p, e))
-    slope = np.array(R)
-    flat = np.where(slope == q, 0, slope)        # the vertical slope's row is unused
+    A, B, C = np.array([(1, neg[1], 0) if c == q else (c, 1, neg[1]) for c in R]).T
 
     def f(x, s):
         ci, d = x // q, x % q
         s1, s2 = s // q, s % q
-        return np.where(slope[ci] == q, add[s1, neg[d]], add[add[mul[flat[ci], s1], d], neg[s2]])
+        return add[add[mul[A[ci], s1], mul[B[ci], d]], mul[C[ci], s2]]
 
     def g(s, alpha, kappa):
         s1, s2 = divmod(s, q)
-        d = np.where(slope[kappa] == q, add[s1, neg[alpha]],
-                     add[add[alpha, s2], neg[mul[flat[kappa], s1]]])
-        return kappa * q + d
+        rest = add[mul[A[kappa], s1], mul[C[kappa], s2]]
+        return kappa * q + mul[B[kappa], add[alpha, neg[rest]]]
 
     partition = tuple(tuple(range(ci * q, (ci + 1) * q)) for ci in range(k))
     gdd = GDDParams(u=q, m=k, k=k, lambda1=0, lambda2=1,

@@ -138,12 +138,12 @@ def _apply_cols(cols, x):
 class GF:
     """The finite field GF(p^n) in the polynomial basis {1, theta, ..., theta^(n-1)}.
 
-    The modulus is a monic irreducible polynomial of degree n over GF(p),
-    chosen deterministically (least in the candidate ordering) when not given.
+    The modulus is the monic irreducible polynomial of degree n over GF(p)
+    that is least in the candidate ordering.
     Instances are immutable apart from internal caches and safe to share.
     """
 
-    def __init__(self, p, n, modulus=None):
+    def __init__(self, p, n):
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if n < 1:
@@ -154,15 +154,7 @@ class GF:
         self.p = p
         self.n = n
         self.order = order
-        if modulus is None:
-            modulus = _least_irreducible(p, n)
-        else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != n + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree n")
-            if not _is_irreducible(list(modulus), p):
-                raise ValueError("modulus is reducible over GF(p)")
-        self.modulus = modulus
+        self.modulus = modulus = _least_irreducible(p, n)
         self._modlist = list(modulus)
         self._mod_bits = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         self._exp = None

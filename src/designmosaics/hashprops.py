@@ -80,24 +80,15 @@ class UHFVerdict:
     note: str = ""
 
 
-def check_regular_gdd_uhf(params: GDDParams, mosaic: Optional[Mosaic] = None) -> UHFVerdict:
+def check_regular_gdd_uhf(params: GDDParams) -> UHFVerdict:
     """Universality of the functional form of a mosaic of regular GDDs: since
-    kr > lambda2 v holds by regularity, only kr >= lambda1 v needs checking.
-
-    When a mosaic is supplied, the verdict is cross-checked against the exact
-    collision spectrum.
-    """
+    kr > lambda2 v holds by regularity, only kr >= lambda1 v needs checking."""
     kr = params.k * params.r
     l1v = params.lambda1 * params.v
     universal = kr >= l1v
     note = "kr >= lambda1 v" if universal else "kr < lambda1 v"
     if params.lambda1 <= params.lambda2:
         note = "lambda1 <= lambda2 (always universal)"
-    if mosaic is not None:
-        from_spectrum = is_universal(mosaic)
-        if from_spectrum != universal:
-            raise AssertionError(
-                f"parameter verdict {universal} disagrees with spectrum verdict {from_spectrum}")
     return UHFVerdict(universal=universal, kr=kr, lambda1_v=l1v, note=note)
 
 

@@ -17,6 +17,12 @@ Each joint law holds one (a, nz, b) float array, the stack P_{ZS|A=alpha}
 P_A-weighted law ``p_zsa`` and the privacy-amplification seed law
 ``cond_s_given_za`` are derived from it on demand, and the exact metrics
 reduce it one color at a time.
+
+The tolerances are constants: a channel's rows sum to 1 within 1e-12, a
+source to 1 within 1e-9, and the generalized bounds' domination and the
+sandwich sides hold with 1e-9 slack.  The wiretap and privacy-amplification paths share their helpers:
+one matrix validation, one classification of GDD members for both
+coefficient displays, one set of sandwich checks and one report assembly.
 """
 
 from __future__ import annotations
@@ -104,12 +110,6 @@ def d2_cond(W, Q, P) -> float:
     return d2(*_joint_and_product(W, Q, P))
 
 
-def renyi2_entropy(P) -> float:
-    """H2(X) = -log2 sum P(x)^2."""
-    P = np.asarray(P, dtype=float).ravel()
-    return float(-np.log2(np.square(P).sum()))
-
-
 def mutual_information(P_XY) -> float:
     """I(X ^ Y) = D(P_XY || P_X x P_Y) from a joint matrix."""
     P = np.asarray(P_XY, dtype=float)
@@ -120,26 +120,29 @@ def mutual_information(P_XY) -> float:
 # channels and sources
 # ---------------------------------------------------------------------------
 
-class Channel:
-    """A stochastic matrix W : X -> Z; substochastic rows only when flagged."""
+def _law_matrix(M, name: str) -> np.ndarray:
+    """M as a float array, checked two-dimensional, finite and nonnegative up
+    to 1e-12; ``name`` opens each error message."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"{name} matrix must be two-dimensional")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} entries must be finite")
+    if (M < -1e-12).any():
+        raise ValueError(f"{name} entries must be nonnegative")
+    return M
 
-    def __init__(self, W, substochastic=False, tol=1e-12):
-        W = np.asarray(W, dtype=float)
-        if W.ndim != 2:
-            raise ValueError("channel matrix must be two-dimensional")
-        if not np.isfinite(W).all():
-            raise ValueError("channel entries must be finite")
-        if (W < -tol).any():
-            raise ValueError("channel entries must be nonnegative")
+
+class Channel:
+    """A stochastic matrix W : X -> Z, each row summing to 1 within 1e-12."""
+
+    def __init__(self, W):
+        W = _law_matrix(W, "channel")
         sums = W.sum(axis=1)
-        if substochastic:
-            if (sums > 1 + tol).any():
-                raise ValueError("substochastic rows must sum to at most 1")
-        elif np.abs(sums - 1).max() > tol:
+        if np.abs(sums - 1).max() > 1e-12:
             x = int(np.abs(sums - 1).argmax())
             raise ValueError(f"row {x} sums to {sums[x]}, not 1")
         self.W = np.clip(W, 0.0, None)
-        self.substochastic = substochastic
 
     @property
     def v(self):
@@ -149,25 +152,17 @@ class Channel:
     def nz(self):
         return self.W.shape[1]
 
-    def output_distribution(self, P_X=None) -> np.ndarray:
-        """(P_X W); uniform input by default."""
-        if P_X is None:
-            return self.W.mean(axis=0)
-        return np.asarray(P_X, dtype=float) @ self.W
+    def output_distribution(self) -> np.ndarray:
+        """P_X W under the uniform input P_X."""
+        return self.W.mean(axis=0)
 
 
 class JointXZ:
     """A joint distribution P_XZ with every output letter reachable (P_Z > 0)."""
 
-    def __init__(self, P, tol=1e-12):
-        P = np.asarray(P, dtype=float)
-        if P.ndim != 2:
-            raise ValueError("joint matrix must be two-dimensional")
-        if not np.isfinite(P).all():
-            raise ValueError("joint entries must be finite")
-        if (P < -tol).any():
-            raise ValueError("joint entries must be nonnegative")
-        if abs(P.sum() - 1) > max(tol, 1e-9):
+    def __init__(self, P):
+        P = _law_matrix(P, "joint")
+        if abs(P.sum() - 1) > 1e-9:
             raise ValueError(f"joint distribution sums to {P.sum()}, not 1")
         self.P = np.clip(P, 0.0, None)
         self.P_Z = self.P.sum(axis=0)
@@ -224,7 +219,7 @@ class WiretapJoint:
     marginal equals (P_X W) for every alpha, checked at build time.
     """
 
-    def __init__(self, mosaic: Mosaic, channel: Channel, p_a=None, tol=1e-10):
+    def __init__(self, mosaic: Mosaic, channel: Channel, p_a=None):
         if channel.v != mosaic.v:
             raise ValueError(f"channel input size {channel.v} != mosaic point count {mosaic.v}")
         if p_a is None:
@@ -241,7 +236,7 @@ class WiretapJoint:
         self.channel = channel
         marg = self.cond_zs.sum(axis=2)
         err = np.abs(marg - self.p_z[None, :]).max()
-        if err > tol:
+        if err > 1e-10:
             raise AssertionError(f"per-color Z-marginal deviates from P_X W by {err}")
 
     @property
@@ -258,7 +253,7 @@ class PAJoint:
     derived from the stack on demand (a r = b).
     """
 
-    def __init__(self, mosaic: Mosaic, joint: JointXZ, tol=1e-10):
+    def __init__(self, mosaic: Mosaic, joint: JointXZ):
         if joint.v != mosaic.v:
             raise ValueError(f"source size {joint.v} != mosaic point count {mosaic.v}")
         self.cond_zs = _scatter_by_color(mosaic, joint.P)          # p_z^T N_alpha
@@ -268,7 +263,7 @@ class PAJoint:
         self.mosaic = mosaic
         self.joint = joint
         totals = self.cond_zs.sum(axis=(1, 2))
-        if np.abs(totals - 1).max() > tol:
+        if np.abs(totals - 1).max() > 1e-10:
             raise AssertionError("conditional laws P_{ZS|A} do not normalize")
 
     @property
@@ -415,24 +410,38 @@ def _coefficients(params, partition=None) -> tuple:
     return 1.0 - c_w - c_pi, c_pi, c_w, partition
 
 
-def _gdd_specialization(params: GDDParams, const, c_pi, c_w) -> dict:
-    """The closed-form coefficient displays for singular and semi-regular
-    members, cross-checked against the general formulas."""
+def _gdd_specializations(params: GDDParams, const, c_pi, c_w, n_classes) -> tuple:
+    """The closed-form coefficient displays of singular and semi-regular
+    members, (wiretap, privacy amplification), from one classification; each
+    is cross-checked against the general formulas, the PA coefficients being
+    v c_w, n_classes c_pi and const."""
     cls = classify_gdd(params)
-    out = {"class": cls}
+    wt, pa = {"class": cls}, {"class": cls}
+    a = params.v // params.k
+    coeff_h2, coeff_pi = params.v * c_w, n_classes * c_pi
     if cls == "singular":
         k_star = params.k // params.u
         r_star, lam_star = params.r, params.lambda2
         frac = (r_star - lam_star) / (k_star * r_star)
-        out["coefficients"] = (1.0 - frac, frac)
+        wt["coefficients"] = (1.0 - frac, frac)
         assert abs(const - (1.0 - frac)) < 1e-12 and abs(c_pi - frac) < 1e-12 and abs(c_w) < 1e-12
+        pa["coefficients"] = (a * (r_star - lam_star) / r_star, -frac)
+        assert abs(coeff_pi - pa["coefficients"][0]) < 1e-9
+        assert abs((const - 1.0) - pa["coefficients"][1]) < 1e-9
     elif cls == "semi-regular":
         frac = (params.r - params.lambda1) / (params.k * params.r)
-        out["coefficients"] = (1.0, -frac, frac)
+        wt["coefficients"] = (1.0, -frac, frac)
         assert abs(const - 1.0) < 1e-12 and abs(c_pi + frac) < 1e-12 and abs(c_w - frac) < 1e-12
+        pa["coefficients"] = (a * (params.r - params.lambda1) / params.r,
+                              -a * (params.r - params.lambda1) / (params.u * params.r),
+                              0.0)
+        assert abs(coeff_h2 - pa["coefficients"][0]) < 1e-9
+        assert abs(coeff_pi - pa["coefficients"][1]) < 1e-9
+        assert abs(const - 1.0) < 1e-9
         if params.lambda1 == 0:
-            out["td_coefficients"] = (1.0, -1.0 / params.k, 1.0 / params.k)
-    return out
+            wt["td_coefficients"] = (1.0, -1.0 / params.k, 1.0 / params.k)
+            pa["td_coefficients"] = (float(a), -1.0, 0.0)
+    return wt, pa
 
 
 def _wt_bounds(params, channel: Channel, partition) -> tuple:
@@ -444,7 +453,7 @@ def _wt_bounds(params, channel: Channel, partition) -> tuple:
     spec = None
     if partition is not None:
         terms = {"exp_d2_pi": (c_pi, _exp_d2_uniform(channel.W, partition)), **terms}
-        spec = _gdd_specialization(params, const, c_pi, c_w)
+        spec = _gdd_specializations(params, const, c_pi, c_w, len(partition))[0]
     coeffs = {n: c for n, (c, _) in terms.items()}
     inner = sum(c * (e - 1.0) for c, e in terms.values())
     kl_b = BoundReport(value=sum((c * e for c, e in terms.values()), const),
@@ -492,24 +501,7 @@ def _pa_terms(params, joint: JointXZ, partition):
         return vals + const, {"coeff_h2": coeff_h2, "coeff_pi": 0.0, "const": const}, None
     coeff_pi = len(partition) * c_pi
     vals = vals + coeff_pi * np.exp2(-joint.h2_classes_given_z(partition)) + const
-    a = params.v // params.k
-    spec = {"class": classify_gdd(params)}
-    if spec["class"] == "singular":
-        k_star = params.k // params.u
-        r_star, lam_star = params.r, params.lambda2
-        spec["coefficients"] = (a * (r_star - lam_star) / r_star,
-                                -(r_star - lam_star) / (k_star * r_star))
-        assert abs(coeff_pi - spec["coefficients"][0]) < 1e-9
-        assert abs((const - 1.0) - spec["coefficients"][1]) < 1e-9
-    elif spec["class"] == "semi-regular":
-        spec["coefficients"] = (a * (params.r - params.lambda1) / params.r,
-                                -a * (params.r - params.lambda1) / (params.u * params.r),
-                                0.0)
-        assert abs(coeff_h2 - spec["coefficients"][0]) < 1e-9
-        assert abs(coeff_pi - spec["coefficients"][1]) < 1e-9
-        assert abs(const - 1.0) < 1e-9
-        if params.lambda1 == 0:
-            spec["td_coefficients"] = (float(a), -1.0, 0.0)
+    spec = _gdd_specializations(params, const, c_pi, c_w, len(partition))[1]
     return vals, {"coeff_h2": coeff_h2, "coeff_pi": coeff_pi, "const": const}, spec
 
 
@@ -597,14 +589,13 @@ class GeneralizedBoundReport:
 
 def generalized_bound(D: IncidenceStructure, channel: Optional[Channel] = None,
                       joint: Optional[JointXZ] = None,
-                      gdd_params: Optional[GDDParams] = None,
-                      tol: float = 1e-9) -> GeneralizedBoundReport:
+                      gdd_params: Optional[GDDParams] = None) -> GeneralizedBoundReport:
     """Bounds from any c, d with w^T N N^T w <= c w^T w + d (w^T 1)^2.
 
     Uses the spectral choice c = mu2, d = (mu1 - mu2)/v from the eigenvalues of
     N N^T (1 is the top eigenvector of a tactical configuration), and, when GDD
     parameters are supplied, also the lambda_max choice c = r - lambda_max,
-    d = lambda_max.
+    d = lambda_max.  Domination is checked with 1e-9 slack.
     """
     tact = verify_tactical(D)
     if not tact:
@@ -621,12 +612,12 @@ def generalized_bound(D: IncidenceStructure, channel: Optional[Channel] = None,
             exact = wiretap_seed_divergence(D, channel, tact.k)
             bound = dd * D.v / kr + cc / kr * _exp_d2_uniform(channel.W)
             out["wiretap"] = {"exact": exact, "bound": bound,
-                              "dominates": bool(bound >= exact - tol)}
+                              "dominates": bool(bound >= exact - 1e-9)}
         if joint is not None:
             exact_z = pa_seed_divergences(D, joint, tact.r)
             bound_z = a * cc / tact.r * np.exp2(-joint.h2_given_z()) + a * dd / tact.r
             out["pa"] = {"exact_max": float(exact_z.max()), "bound_max": float(bound_z.max()),
-                         "dominates": bool((bound_z >= exact_z - tol).all())}
+                         "dominates": bool((bound_z >= exact_z - 1e-9).all())}
         return out
 
     spectral = evaluate(c, dcoef)
@@ -659,57 +650,54 @@ class SandwichReport:
     right_detector: bool
 
 
-def divergence_comparison(channel: Channel, partition, tol: float = 1e-9) -> SandwichReport:
+def _log_class_size(partition) -> float:
+    """log2 u for a partition into classes of one size u."""
+    sizes = {len(cls) for cls in partition}
+    if len(sizes) != 1:
+        raise ValueError("partition classes must have equal sizes")
+    return math.log2(sizes.pop())
+
+
+def _sandwich_checks(full, coarse, log_u) -> dict:
+    """Both sides of full - log u <= coarse <= full and their equalities, all
+    within 1e-9 and for every entry when full and coarse are arrays."""
+    return {"left_holds": bool(np.all(coarse >= full - log_u - 1e-9)),
+            "right_holds": bool(np.all(coarse <= full + 1e-9)),
+            "left_equality": bool(np.max(np.abs(coarse - (full - log_u))) <= 1e-9),
+            "right_equality": bool(np.max(np.abs(coarse - full)) <= 1e-9)}
+
+
+def divergence_comparison(channel: Channel, partition) -> SandwichReport:
     """D2(W||P_X W|P_X) - log u <= D2(R_Pi W||P_X W|P_Pi) <= D2(W||P_X W|P_X).
 
     Left equality holds iff every class supports at most one positive entry
     per output letter; right equality iff rows are constant on every class.
     """
-    sizes = {len(cls) for cls in partition}
-    if len(sizes) != 1:
-        raise ValueError("partition classes must have equal sizes")
-    u = sizes.pop()
+    log_u = _log_class_size(partition)
     full = math.log2(_exp_d2_uniform(channel.W))
     coarse = math.log2(_exp_d2_uniform(channel.W, partition))
-    log_u = math.log2(u)
     left_det = all(((channel.W[list(cls)] > 0).sum(axis=0) <= 1).all() for cls in partition)
     right_det = all(np.ptp(channel.W[list(cls)], axis=0).max() == 0 for cls in partition)
-    return SandwichReport(
-        full=full, coarse=coarse, log_u=log_u,
-        left_holds=bool(coarse >= full - log_u - tol),
-        right_holds=bool(coarse <= full + tol),
-        left_equality=bool(abs(coarse - (full - log_u)) <= tol),
-        right_equality=bool(abs(coarse - full) <= tol),
-        left_detector=left_det, right_detector=right_det)
+    return SandwichReport(full=full, coarse=coarse, log_u=log_u,
+                          **_sandwich_checks(full, coarse, log_u),
+                          left_detector=left_det, right_detector=right_det)
 
 
-def entropy_comparison(joint: JointXZ, partition, tol: float = 1e-9) -> dict:
+def entropy_comparison(joint: JointXZ, partition) -> dict:
     """H2(X|Z=z) - log u <= H2(X_Pi|Z=z) <= H2(X|Z=z) for every z.
 
     Right equality holds iff at most one point per class is possible given z;
     left equality iff the conditional is constant on every class.
     """
-    sizes = {len(cls) for cls in partition}
-    if len(sizes) != 1:
-        raise ValueError("partition classes must have equal sizes")
-    u = sizes.pop()
+    log_u = _log_class_size(partition)
     full = joint.h2_given_z()
     coarse = joint.h2_classes_given_z(partition)
-    log_u = math.log2(u)
     cond = joint.conditional_given_z()
     right_det = all(((cond[list(cls)] > 0).sum(axis=0) <= 1).all() for cls in partition)
-    left_det = all(np.ptp(cond[list(cls)], axis=0).max() <= tol for cls in partition)
-    return {
-        "h2_full": full,
-        "h2_classes": coarse,
-        "log_u": log_u,
-        "left_holds": bool((coarse >= full - log_u - tol).all()),
-        "right_holds": bool((coarse <= full + tol).all()),
-        "left_equality": bool(np.abs(coarse - (full - log_u)).max() <= tol),
-        "right_equality": bool(np.abs(coarse - full).max() <= tol),
-        "left_detector": left_det,
-        "right_detector": right_det,
-    }
+    left_det = all(np.ptp(cond[list(cls)], axis=0).max() <= 1e-9 for cls in partition)
+    return {"h2_full": full, "h2_classes": coarse, "log_u": log_u,
+            **_sandwich_checks(full, coarse, log_u),
+            "left_detector": left_det, "right_detector": right_det}
 
 
 # ---------------------------------------------------------------------------
@@ -728,31 +716,30 @@ class SecurityReport:
                 "dominates": self.dominates, "coefficients": self.coefficients}
 
 
-def wiretap_report(M: Mosaic, channel: Channel, p_a=None, tol: float = 1e-9) -> SecurityReport:
-    """Exact wiretap metrics side by side with the theorem bounds."""
-    J = WiretapJoint(M, channel, p_a)
-    exact = exact_wiretap_metrics(J)
-    kl_b, tv_b = _wt_bounds(M.member_params, channel, M.point_classes)
-    dominates = (2.0 ** exact["mutual_information"] <= kl_b.value + tol
-                 and 2.0 ** exact["max_kl_cond"] <= kl_b.value + tol
-                 and exact["tv"] <= tv_b.value + tol)
+def _security_report(exact, bounds, kl_exact, tv_exact, kl_name, tol) -> SecurityReport:
+    """Exact metrics beside the (kl, tv) bounds: the bound dominates when
+    2^exact[m] <= kl bound + tol for every m in kl_exact and
+    exact[tv_exact] <= tv bound + tol."""
+    kl_b, tv_b = bounds
+    dominates = (all(2.0 ** exact[m] <= kl_b.value + tol for m in kl_exact)
+                 and exact[tv_exact] <= tv_b.value + tol)
     return SecurityReport(exact=exact,
-                          bounds={"exp_mutual_information": kl_b.value, "tv": tv_b.value},
+                          bounds={kl_name: kl_b.value, "tv": tv_b.value},
                           dominates=bool(dominates),
                           coefficients={"kl": kl_b.coefficients, "tv": tv_b.coefficients,
                                         "specialization": kl_b.specialization})
+
+
+def wiretap_report(M: Mosaic, channel: Channel, p_a=None, tol: float = 1e-9) -> SecurityReport:
+    """Exact wiretap metrics side by side with the theorem bounds."""
+    exact = exact_wiretap_metrics(WiretapJoint(M, channel, p_a))
+    return _security_report(exact, _wt_bounds(M.member_params, channel, M.point_classes),
+                            ("mutual_information", "max_kl_cond"), "tv",
+                            "exp_mutual_information", tol)
 
 
 def pa_report(M: Mosaic, joint: JointXZ, tol: float = 1e-9) -> SecurityReport:
     """Exact privacy-amplification metrics side by side with the theorem bounds."""
-    J = PAJoint(M, joint)
-    exact = exact_pa_metrics(J)
-    kl_b, tv_b = _pa_bounds(M.member_params, joint, M.point_classes)
-    dominates = (2.0 ** exact["max_kl"] <= kl_b.value + tol
-                 and exact["max_tv"] <= tv_b.value + tol
-                 and 2.0 ** exact["mutual_information"] <= kl_b.value + tol)
-    return SecurityReport(exact=exact,
-                          bounds={"exp_max_kl": kl_b.value, "tv": tv_b.value},
-                          dominates=bool(dominates),
-                          coefficients={"kl": kl_b.coefficients, "tv": tv_b.coefficients,
-                                        "specialization": kl_b.specialization})
+    exact = exact_pa_metrics(PAJoint(M, joint))
+    return _security_report(exact, _pa_bounds(M.member_params, joint, M.point_classes),
+                            ("max_kl", "mutual_information"), "max_tv", "exp_max_kl", tol)

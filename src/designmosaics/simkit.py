@@ -3,7 +3,7 @@
 Both scenarios have exact joint laws (computed in :mod:`.security`), so the
 Monte Carlo pipelines here are calibration checks: decode correctness, key
 agreement, and chi-square goodness of fit of the empirical histograms against
-the exact distributions.
+the exact distributions, pooling the cells whose expected count is below 5.
 
 The statistics hold no (z, s, alpha) array beside the joint law's single
 P_{ZS|A} stack: the joint chi-square reads that stack one color at a time,
@@ -86,11 +86,11 @@ def source_from_csv(path) -> JointXZ:
 # chi-square goodness of fit
 # ---------------------------------------------------------------------------
 
-def chi_square_gof(counts, probs, min_expected: float = 5.0):
+def chi_square_gof(counts, probs):
     """Pearson chi-square against an exact law, pooling rare cells.
 
-    Cells with expected count below ``min_expected`` are merged into one pooled
-    bin, the last one.  Observations in zero-probability cells are impossible
+    Cells with expected count below 5 are merged into one pooled bin, the
+    last one.  Observations in zero-probability cells are impossible
     under the claimed law, so they force p = 0.
     """
     counts = np.asarray(counts).ravel()
@@ -102,7 +102,7 @@ def chi_square_gof(counts, probs, min_expected: float = 5.0):
     expected = probs[keep]
     expected *= n
     counts = counts[keep]
-    big = expected >= min_expected
+    big = expected >= 5.0
     m = int(big.sum())
     pooled = m < len(big)
     obs = np.empty(m + pooled)
@@ -123,12 +123,12 @@ def chi_square_gof(counts, probs, min_expected: float = 5.0):
     return stat, df, float(chi2_dist.sf(stat, df))
 
 
-def _joint_chi_square(law, a: int, cells, min_expected: float = 5.0):
+def _joint_chi_square(law, a: int, cells):
     """chi_square_gof of the trials' cell codes ``(z*b + s)*a + alpha`` against
     P_{ZSA}(z, s, alpha) = law(alpha)[z, s], with no (z, s, alpha) array.
 
     One pass over the colors collects the cells whose expected count reaches
-    ``min_expected``, in code order, and the mass of the other positive
+    5, in code order, and the mass of the other positive
     cells, which form the pooled bin, the last one, when that mass is
     positive; the observed counts come from ``np.unique`` of the codes.  The
     statistic is the dense histogram's up to the order in which the pooled
@@ -144,7 +144,7 @@ def _joint_chi_square(law, a: int, cells, min_expected: float = 5.0):
         p = law(al).ravel()
         if (p[seen_zs[seen_al == al]] <= 0).any():
             return math.inf, 0, 0.0
-        big = p * n >= min_expected
+        big = p * n >= 5.0
         codes.append(np.flatnonzero(big) * a + al)
         probs.append(p[big])
         rare_mass += float(p[(p > 0) & ~big].sum())
@@ -156,7 +156,7 @@ def _joint_chi_square(law, a: int, cells, min_expected: float = 5.0):
     if rare_mass > 0:
         counts = np.append(counts, n - counts.sum())
         probs = np.append(probs, rare_mass)
-    return chi_square_gof(counts, probs, min_expected)
+    return chi_square_gof(counts, probs)
 
 
 def _miller_madow_entropy(counts) -> float:

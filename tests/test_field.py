@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from designmosaics.field import GF, make_field, is_prime, prime_power
+from designmosaics.field import make_field, is_prime, prime_power
 
 
 # -- loop definitions of the characteristic-2 primitives, kept as oracles -------
@@ -125,8 +125,6 @@ def test_make_field_errors():
         make_field(2, 0)
     with pytest.raises(ValueError):
         make_field(2, 25)  # exceeds the 2^20 bound
-    with pytest.raises(ValueError):
-        GF(2, 2, modulus=(0, 0, 1))  # x^2 is reducible
 
 
 def test_gf4_arithmetic_examples():

@@ -74,8 +74,7 @@ def test_clatworthy_verdicts_cross_checked_with_spectra():
     for cat, want in [(clatworthy_r1(), True), (clatworthy_r2(), False)]:
         M = construct_from_resolvable(cat.structure, cat.resolution,
                                       CyclicQuasigroup(2), member_params=cat.params)
-        verdict = check_regular_gdd_uhf(cat.params, mosaic=M)
-        assert verdict.universal == want == is_universal(M)
+        assert check_regular_gdd_uhf(cat.params).universal == want == is_universal(M)
 
 
 def test_lambda1_le_lambda2_always_universal():

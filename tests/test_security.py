@@ -39,7 +39,6 @@ from designmosaics.security import (
     pa_report,
     prop41_check,
     prop42_check,
-    renyi2_entropy,
     tv,
     wiretap_report,
 )
@@ -113,6 +112,12 @@ def test_divergences_support_condition():
     assert tv(P, Q) <= math.sqrt(chi2(P, Q)) + 0.5 + 1e-12
 
 
+def renyi2_entropy(P) -> float:
+    """H2(X) = -log2 sum P(x)^2."""
+    P = np.asarray(P, dtype=float).ravel()
+    return float(-np.log2(np.square(P).sum()))
+
+
 def test_renyi2_entropy_and_mutual_information():
     assert abs(renyi2_entropy(np.full(8, 1 / 8)) - 3.0) < 1e-12
     P_XY = np.array([[0.25, 0.25], [0.25, 0.25]])
@@ -138,13 +143,8 @@ def test_channel_validation():
         Channel(np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(ValueError):
         Channel(np.array([[1.2, -0.2], [0.5, 0.5]]))
-    sub = Channel(np.array([[0.5, 0.3], [0.2, 0.2]]), substochastic=True)
-    assert sub.substochastic
-    with pytest.raises(ValueError):
-        Channel(np.array([[0.9, 0.3], [0.5, 0.5]]), substochastic=True)
-    for substochastic in (False, True):
-        with pytest.raises(ValueError, match="finite"):
-            Channel(np.array([[np.nan, 1.0], [0.5, 0.5]]), substochastic=substochastic)
+    with pytest.raises(ValueError, match="finite"):
+        Channel(np.array([[np.nan, 1.0], [0.5, 0.5]]))
 
 
 def test_joint_validation():
@@ -352,6 +352,25 @@ def test_gdd_specialization_coefficients():
     src = random_source(M4.v, 5, rng)
     rep_pa = bound_pa_kl(M4.member_params, src, M4.point_classes)
     assert rep_pa.specialization["td_coefficients"] == (float(M4.a), -1.0, 0.0)
+
+
+def test_report_specialization_displays_are_pinned():
+    """Both displays of the wiretap and PA reports on a singular rung and a
+    semi-regular TD rung, as exact tuples; they depend on the parameters only."""
+    rng = np.random.default_rng(24)
+    third = 1.0 / 3
+    want = {
+        "m3": ({"class": "singular", "coefficients": (0.6, 0.4)},
+               {"class": "singular", "coefficients": (2.4, -0.4)}),
+        "m4": ({"class": "semi-regular", "coefficients": (1.0, -third, third),
+                "td_coefficients": (1.0, -third, third)},
+               {"class": "semi-regular", "coefficients": (4.0, -1.0, 0.0),
+                "td_coefficients": (4.0, -1.0, 0.0)}),
+    }
+    for M in (build_m3(2, 1, 2), build_m4(3, 4)):
+        wt = wiretap_report(M, random_channel(M.v, 3, rng)).coefficients["specialization"]
+        pa = pa_report(M, random_source(M.v, 3, rng)).coefficients["specialization"]
+        assert (wt, pa) == want[M.meta["family"]], M.meta
 
 
 # -- exact identities -----------------------------------------------------------------
@@ -766,8 +785,7 @@ def test_joint_vs_product_kernel_matches_row_loop_oracles():
         for fn, oracle in ((kl_cond, kl_cond_rows), (exp_d2_cond, exp_d2_cond_rows),
                            (d2_cond, d2_cond_rows)):
             assert abs(fn(W.W, Q, P_X) - oracle(W.W, Q, P_X)) <= 1e-12, (M, fn)
-            assert abs(fn(W.W, W.output_distribution(P_X), P_X)
-                       - oracle(W.W, W.output_distribution(P_X), P_X)) <= 1e-12, (M, fn)
+            assert abs(fn(W.W, P_X @ W.W, P_X) - oracle(W.W, P_X @ W.W, P_X)) <= 1e-12, (M, fn)
         assert abs(mutual_information(src.P) - mutual_information_rows(src.P)) <= 1e-12, M
 
         params = M.member_params

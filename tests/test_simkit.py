@@ -159,7 +159,7 @@ def draw_outputs_oracle(W, xs, rng):
     return (us[:, None] > cum[xs]).sum(axis=1)
 
 
-def chi_square_gof_oracle(counts, probs, min_expected=5.0):
+def chi_square_gof_oracle(counts, probs):
     counts = np.asarray(counts, dtype=float).ravel()
     probs = np.asarray(probs, dtype=float).ravel()
     n = counts.sum()
@@ -168,7 +168,7 @@ def chi_square_gof_oracle(counts, probs, min_expected=5.0):
     keep = probs > 0
     counts, probs = counts[keep], probs[keep]
     expected = probs * n
-    big = expected >= min_expected
+    big = expected >= 5.0
     obs = counts[big].tolist()
     exp = expected[big].tolist()
     if (~big).any():
@@ -252,10 +252,8 @@ def test_chi_square_gof_matches_list_oracle():
             counts[int(rng.integers(size))] += 1
         cases.append((counts, probs))
     for counts, probs in cases:
-        for min_expected in (5.0, 1.0):
-            got = chi_square_gof(counts, probs, min_expected)
-            want = chi_square_gof_oracle(counts, probs, min_expected)
-            assert got == want, (got, want)
+        got, want = chi_square_gof(counts, probs), chi_square_gof_oracle(counts, probs)
+        assert got == want, (got, want)
 
 
 def test_batch_mi_matches_dense_table_oracle():
@@ -271,13 +269,13 @@ def test_batch_mi_matches_dense_table_oracle():
 
 # -- oracle: the dense joint chi-square that the per-color pass replaced ----------
 
-def joint_chi_square_dense_oracle(cond, scale, cells, min_expected=5.0):
+def joint_chi_square_dense_oracle(cond, scale, cells):
     """A (z, s, alpha) copy of the P_{ZS|A} stack scaled in place by ``scale``,
     the full bincount histogram of the cell codes, and chi_square_gof."""
     probs = np.moveaxis(cond, 0, -1).copy()
     scale(probs)
     counts = np.bincount(cells, minlength=probs.size)
-    return chi_square_gof(counts, probs, min_expected)
+    return chi_square_gof(counts, probs)
 
 
 def _assert_matches_dense(got, want):
@@ -289,17 +287,17 @@ def _assert_matches_dense(got, want):
     assert abs(got[2] - want[2]) <= 1e-12, (got, want)
 
 
-def _wiretap_forms(cond, p_a, cells, min_expected):
+def _wiretap_forms(cond, p_a, cells):
     """(per-color pass, dense oracle) with the law scaled by P_A, as the
     wiretap roundtrip scales it."""
     def scale(probs):
         probs *= p_a
 
-    return (_joint_chi_square(lambda al: cond[al] * p_a[al], len(cond), cells, min_expected),
-            joint_chi_square_dense_oracle(cond, scale, cells, min_expected))
+    return (_joint_chi_square(lambda al: cond[al] * p_a[al], len(cond), cells),
+            joint_chi_square_dense_oracle(cond, scale, cells))
 
 
-def _pa_forms(cond, cells, min_expected):
+def _pa_forms(cond, cells):
     """(per-color pass, dense oracle) with the law divided by a, as the PA
     roundtrip divides it."""
     a = len(cond)
@@ -307,8 +305,8 @@ def _pa_forms(cond, cells, min_expected):
     def scale(probs):
         probs /= a
 
-    return (_joint_chi_square(lambda al: cond[al] / a, a, cells, min_expected),
-            joint_chi_square_dense_oracle(cond, scale, cells, min_expected))
+    return (_joint_chi_square(lambda al: cond[al] / a, a, cells),
+            joint_chi_square_dense_oracle(cond, scale, cells))
 
 
 def _verdict(res):
@@ -318,7 +316,7 @@ def _verdict(res):
 def test_roundtrip_joint_chi_square_matches_dense_oracle():
     """On the acceptance grid the roundtrips' joint verdicts equal the dense
     path's on their own cells, under uniform, Dirichlet and point-mass P_A and
-    channels with zero columns; min_expected 1 is checked on the same cells."""
+    channels with zero columns."""
     rng = np.random.default_rng(80)
     for M in _grid_mosaics():
         nz = int(rng.integers(2, 9))
@@ -330,26 +328,22 @@ def test_roundtrip_joint_chi_square_matches_dense_oracle():
                 res = wiretap_roundtrip(SimConfig(mosaic=M, trials=trials, channel=W, p_a=p_a,
                                                   seed=int(rng.integers(2 ** 31))))
                 cond = WiretapJoint(M, W, p_a).cond_zs
-                for min_expected in (5.0, 1.0):
-                    got, want = _wiretap_forms(cond, p_a, res.cells, min_expected)
-                    _assert_matches_dense(got, want)
-                    if min_expected == 5.0:
-                        assert got == _verdict(res), M
+                got, want = _wiretap_forms(cond, p_a, res.cells)
+                _assert_matches_dense(got, want)
+                assert got == _verdict(res), M
         src = random_source(M.v, nz, rng)
         res = pa_roundtrip(SimConfig(mosaic=M, trials=3000, source=src,
                                      seed=int(rng.integers(2 ** 31))))
         cond = PAJoint(M, src).cond_zs
-        for min_expected in (5.0, 1.0):
-            got, want = _pa_forms(cond, res.cells, min_expected)
-            _assert_matches_dense(got, want)
-            if min_expected == 5.0:
-                assert got == _verdict(res), M
+        got, want = _pa_forms(cond, res.cells)
+        _assert_matches_dense(got, want)
+        assert got == _verdict(res), M
 
 
 def test_joint_chi_square_matches_dense_oracle_on_random_laws():
     """Random P_{ZS|A} stacks with zero rows and columns, cells drawn from the
     law (sometimes with one the law rules out), every cell pooled, none pooled
-    and a mix, at min_expected 5 and 1."""
+    and a mix."""
     rng = np.random.default_rng(81)
     seen = set()
     for case in range(300):
@@ -375,11 +369,10 @@ def test_joint_chi_square_matches_dense_oracle_on_random_laws():
         cells = rng.choice(law.size, size=n, p=law / law.sum())
         if rng.random() < 0.1:
             cells[int(rng.integers(n))] = int(rng.integers(law.size))
-        for min_expected in (5.0, 1.0):
-            big = law[law > 0] * n >= min_expected
-            seen.add("none pooled" if big.all() else "all pooled" if not big.any() else "mixed")
-            _assert_matches_dense(*_wiretap_forms(cond, p_a, cells, min_expected))
-            _assert_matches_dense(*_pa_forms(cond, cells, min_expected))
+        big = law[law > 0] * n >= 5.0
+        seen.add("none pooled" if big.all() else "all pooled" if not big.any() else "mixed")
+        _assert_matches_dense(*_wiretap_forms(cond, p_a, cells))
+        _assert_matches_dense(*_pa_forms(cond, cells))
     assert seen == {"none pooled", "all pooled", "mixed"}
 
 
@@ -389,18 +382,18 @@ def test_joint_chi_square_pooling_extremes():
     cond = np.array([[[0.25, 0.0], [0.0, 0.75]]])
     for n in (20000, 4):
         cells = rng.choice(4, size=n, p=cond.ravel())
-        got, want = _wiretap_forms(cond, np.ones(1), cells, 5.0)
+        got, want = _wiretap_forms(cond, np.ones(1), cells)
         _assert_matches_dense(got, want)
         assert got[1] == 1
     # three kept cells and a pooled pair: four bins
     cond = np.array([[[0.3, 0.3, 0.3, 0.05, 0.05]]])
     cells = rng.choice(5, size=60, p=cond.ravel())
-    got, want = _wiretap_forms(cond, np.ones(1), cells, 5.0)
+    got, want = _wiretap_forms(cond, np.ones(1), cells)
     _assert_matches_dense(got, want)
     assert got[1] == 3
     # an observation in a cell of probability zero
     cond = np.array([[[0.5, 0.5, 0.0]]])
-    got, want = _wiretap_forms(cond, np.ones(1), np.array([0, 2]), 5.0)
+    got, want = _wiretap_forms(cond, np.ones(1), np.array([0, 2]))
     assert got == want == (math.inf, 0, 0.0)
 
 
