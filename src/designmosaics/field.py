@@ -154,9 +154,9 @@ class GF:
         self.p = p
         self.n = n
         self.order = order
-        self.modulus = modulus = _least_irreducible(p, n)
-        self._modlist = list(modulus)
-        self._mod_bits = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
+        self.modulus = _least_irreducible(p, n)
+        self._modlist = list(self.modulus)
+        self._mod_bits = sum(c << i for i, c in enumerate(self.modulus)) if p == 2 else None
         self._exp = None
         self._log = None
         self._arrays = None
