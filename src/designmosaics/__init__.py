@@ -78,9 +78,7 @@ from .security import (
     bound_wt_gdd,
     bound_wt_tv_bibd,
     bound_wt_tv_gdd,
-    chi2,
     d2,
-    d2_cond,
     divergence_comparison,
     entropy_comparison,
     exact_pa_metrics,
@@ -88,8 +86,6 @@ from .security import (
     generalized_bound,
     key_marginal_exact,
     kl,
-    kl_cond,
-    mutual_information,
     pa_report,
     prop41_check,
     prop42_check,

@@ -12,11 +12,11 @@ vanishes.  A conditional divergence is the divergence of a joint law from a
 product, D(W || Q | P) = D(P W || P x Q), so the exact metrics are per-color
 divergences of P_{ZS|A=alpha} from the products P_ZS and P_Z x U_S.
 
-Each joint law holds one (a, nz, b) float array, the stack P_{ZS|A=alpha}
-(``cond_zs``), scattered from the color matrix and scaled in place; the
-P_A-weighted law ``p_zsa`` and the privacy-amplification seed law
-``cond_s_given_za`` are derived from it on demand, and the exact metrics
-reduce it one color at a time.
+No (a, nz, b) array is held.  Each joint law keeps its mosaic's block table,
+the k points of each color at each seed, from one stable sort of the color
+matrix's columns; ``cond(alpha)`` sums the channel or source rows of those
+points into P_{ZS|A=alpha}.  The exact metrics make two passes over the
+colors: one sums the mixture P_ZS, the other takes every divergence.
 
 The tolerances are constants: a channel's rows sum to 1 within 1e-12, a
 source to 1 within 1e-9, and the generalized bounds' domination and the
@@ -58,13 +58,6 @@ def tv(P, Q) -> float:
     return float(np.abs(P - Q).sum())
 
 
-def chi2(P, Q) -> float:
-    """sum over {Q > 0} of Q (P/Q - 1)^2."""
-    P, Q = _pair(P, Q)
-    m = Q > 0
-    return float((np.square(P[m] - Q[m]) / Q[m]).sum())
-
-
 def kl(P, Q) -> float:
     """Kullback-Leibler divergence in bits; +inf when supp(P) escapes supp(Q)."""
     P, Q = _pair(P, Q)
@@ -89,31 +82,11 @@ def d2(P, Q) -> float:
     return INF if val == INF else float(np.log2(val))
 
 
-def _joint_and_product(W, Q, P):
-    """The joint P(x) W(z|x) and the product P(x) Q(z), as (x, z) arrays."""
-    W = np.asarray(W, dtype=float)
-    P = np.asarray(P, dtype=float).ravel()
-    return P[:, None] * W, np.outer(P, np.asarray(Q, dtype=float).ravel())
-
-
-def kl_cond(W, Q, P) -> float:
-    """D(W || Q | P) = sum_x P(x) D(W(.|x) || Q) = D(P W || P x Q)."""
-    return kl(*_joint_and_product(W, Q, P))
-
-
 def exp_d2_cond(W, Q, P) -> float:
     """2^D2(W || Q | P) = sum_x P(x) 2^(D2(W(.|x) || Q)) = 2^D2(P W || P x Q)."""
-    return exp_d2(*_joint_and_product(W, Q, P))
-
-
-def d2_cond(W, Q, P) -> float:
-    return d2(*_joint_and_product(W, Q, P))
-
-
-def mutual_information(P_XY) -> float:
-    """I(X ^ Y) = D(P_XY || P_X x P_Y) from a joint matrix."""
-    P = np.asarray(P_XY, dtype=float)
-    return kl(P, np.outer(P.sum(axis=1), P.sum(axis=0)))
+    P = np.asarray(P, dtype=float).ravel()
+    return exp_d2(P[:, None] * np.asarray(W, dtype=float),
+                  np.outer(P, np.asarray(Q, dtype=float).ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -199,24 +172,40 @@ class JointXZ:
 # joint distributions of mosaic-based schemes
 # ---------------------------------------------------------------------------
 
-def _scatter_by_color(mosaic: Mosaic, rows) -> np.ndarray:
-    """The (a, nz, b) array whose entry (alpha, z, s) sums rows[x, z] over the
-    points x with f(x, s) = alpha: one bincount per output letter z over the
-    cell codes F[x, s] * b + s, so v * nz * b work in all."""
-    a, b = mosaic.a, mosaic.b
-    codes = (mosaic.color_matrix().astype(np.int64) * b + np.arange(b)).ravel()
-    out = np.empty((a, rows.shape[1], b))
-    for z in range(rows.shape[1]):
-        weights = np.repeat(rows[:, z], b)
-        out[:, z, :] = np.bincount(codes, weights, minlength=a * b).reshape(a, b)
-    return out
+def _replications(mosaic: Mosaic) -> np.ndarray:
+    """R[alpha, x], the number of seeds s with f(x, s) = alpha: one bincount
+    of the codes F[x, s] * v + x."""
+    a, v = mosaic.a, mosaic.v
+    codes = mosaic.color_matrix().astype(np.int64) * v + np.arange(v)[:, None]
+    return np.bincount(codes.ravel(), minlength=a * v).reshape(a, v)
+
+
+def _block_table(mosaic: Mosaic) -> np.ndarray:
+    """The block table T[alpha, kappa, s]: the k points of color alpha at seed
+    s, ascending in kappa, from one stable sort of each column of F.  Raises
+    ValueError naming the first (s, alpha, count) whose count is not k."""
+    F, a, b, k = mosaic.color_matrix(), mosaic.a, mosaic.b, mosaic.k
+    counts = np.bincount((F + a * np.arange(b)).ravel(), minlength=a * b).reshape(b, a)
+    for s, alpha in np.argwhere(counts != k)[:1]:
+        raise ValueError(f"seed {s} holds {counts[s, alpha]} points of color {alpha}, not k = {k}")
+    return np.argsort(F, axis=0, kind="stable").reshape(a, k, b)
+
+
+def _gather(rows, table, alpha) -> np.ndarray:
+    """The (nz, b) array whose entry (z, s) sums rows[x, z] over the points x
+    of color alpha at seed s, in ascending order of x."""
+    out = rows[table[alpha, 0]]
+    for idx in table[alpha, 1:]:
+        out += rows[idx]
+    return np.ascontiguousarray(out.T)
 
 
 class WiretapJoint:
     """P_{ZXSA}(z,x,s,alpha) = w(z|x) N_alpha(x,s) P_A(alpha) / (bk).
 
-    Stores the stack P_{ZS|A=alpha}, which is independent of P_A; the output
-    marginal equals (P_X W) for every alpha, checked at build time.
+    Holds the block table; :meth:`cond` gives P_{ZS|A=alpha}, which is
+    independent of P_A.  The output marginal of every color equals P_X W,
+    checked at build time from the replication counts.
     """
 
     def __init__(self, mosaic: Mosaic, channel: Channel, p_a=None):
@@ -228,52 +217,51 @@ class WiretapJoint:
         if (p_a.shape != (mosaic.a,) or not np.isfinite(p_a).all() or (p_a < 0).any()
                 or abs(p_a.sum() - 1) > 1e-9):
             raise ValueError("P_A must be a finite distribution on the color set")
-        self.cond_zs = _scatter_by_color(mosaic, channel.W)
-        self.cond_zs /= mosaic.b * mosaic.k
+        self._table = _block_table(mosaic)
         self.p_z = channel.output_distribution()
         self.p_a = p_a
         self.mosaic = mosaic
         self.channel = channel
-        marg = self.cond_zs.sum(axis=2)
-        err = np.abs(marg - self.p_z[None, :]).max()
+        bk = mosaic.b * mosaic.k
+        err = max(np.abs((r[:, None] * channel.W).sum(axis=0) / bk - self.p_z).max()
+                  for r in _replications(mosaic))
         if err > 1e-10:
             raise AssertionError(f"per-color Z-marginal deviates from P_X W by {err}")
 
-    @property
-    def p_zsa(self) -> np.ndarray:
-        return self.cond_zs * self.p_a[:, None, None]
+    def cond(self, alpha) -> np.ndarray:
+        """P_{ZS|A=alpha} as a new (nz, b) array."""
+        out = _gather(self.channel.W, self._table, alpha)
+        out /= self.mosaic.b * self.mosaic.k
+        return out
 
 
 class PAJoint:
     """P_{XZSA}(x,z,s,alpha) = P_XZ(x,z) N_alpha(x,s) / b.
 
-    Stores the stack P_{ZS|A=alpha} only.  The key marginal is uniform and
-    independent of Z, P_{Z|A=alpha} = P_Z, so the seed law given the
-    observation, P_{S|Z=z,A=alpha}(s) = (p_z^T N_alpha)(s) / (r p_z^T 1), is
-    derived from the stack on demand (a r = b).
+    Holds the block table; :meth:`cond` gives P_{ZS|A=alpha} = (a/b) p_z^T
+    N_alpha.  The key marginal is uniform and independent of Z,
+    P_{Z|A=alpha} = P_Z, so the seed law given the observation is
+    P_{S|Z=z,A=alpha} = P_{ZS|A=alpha}(z, .) / P_Z(z).  That every law
+    normalizes is checked at build time from the replication counts.
     """
 
     def __init__(self, mosaic: Mosaic, joint: JointXZ):
         if joint.v != mosaic.v:
             raise ValueError(f"source size {joint.v} != mosaic point count {mosaic.v}")
-        self.cond_zs = _scatter_by_color(mosaic, joint.P)          # p_z^T N_alpha
-        self.cond_zs *= mosaic.a / mosaic.b                        # P_{ZS|A=alpha}
+        self._table = _block_table(mosaic)
         self.p_z = joint.P_Z
         self.p_a = np.full(mosaic.a, 1.0 / mosaic.a)
         self.mosaic = mosaic
         self.joint = joint
-        totals = self.cond_zs.sum(axis=(1, 2))
+        totals = (_replications(mosaic) * joint.P_X).sum(axis=1) * (mosaic.a / mosaic.b)
         if np.abs(totals - 1).max() > 1e-10:
             raise AssertionError("conditional laws P_{ZS|A} do not normalize")
 
-    @property
-    def p_zsa(self) -> np.ndarray:
-        return self.cond_zs / self.mosaic.a
-
-    @property
-    def cond_s_given_za(self) -> np.ndarray:
-        """P_{S|Z=z,A=alpha} = P_{ZS|A=alpha}(z, .) / P_Z(z), a new array."""
-        return self.cond_zs / self.p_z[None, :, None]
+    def cond(self, alpha) -> np.ndarray:
+        """P_{ZS|A=alpha} as a new (nz, b) array."""
+        out = _gather(self.joint.P, self._table, alpha)            # p_z^T N_alpha
+        out *= self.mosaic.a / self.mosaic.b
+        return out
 
 
 def key_marginal_exact(mosaic: Mosaic, P_XZ) -> list:
@@ -283,15 +271,13 @@ def key_marginal_exact(mosaic: Mosaic, P_XZ) -> list:
     uniformity of the result is an identity, not an approximation.
     """
     P = np.asarray(P_XZ, dtype=float)
-    a, v = mosaic.a, mosaic.v
-    codes = mosaic.color_matrix().astype(np.int64) * v + np.arange(v)[:, None]
-    row_sums = np.bincount(codes.ravel(), minlength=a * v).reshape(a, v)   # replications
+    R = _replications(mosaic)
     p_x = [sum(Fraction(float(t)) for t in row) for row in P]
     out = []
-    for alpha in range(a):
+    for alpha in range(mosaic.a):
         acc = Fraction(0)
-        for x in range(v):
-            acc += p_x[x] * int(row_sums[alpha, x])
+        for x in range(mosaic.v):
+            acc += p_x[x] * int(R[alpha, x])
         out.append(acc / mosaic.b)
     return out
 
@@ -300,37 +286,42 @@ def key_marginal_exact(mosaic: Mosaic, P_XZ) -> list:
 # exact metrics
 # ---------------------------------------------------------------------------
 
-def _color_divergences(cond, p_a, p_z) -> tuple:
-    """Divergences of each P_{ZS|A=alpha} = cond[alpha] from two products.
+def _color_divergences(J, each=None) -> tuple:
+    """Divergences of each P_{ZS|A=alpha} = J.cond(alpha) from two products,
+    in two passes over the colors; ``each``, if given, sees every law in the second.
 
-    Against the mixture P_ZS = sum_alpha P_A(alpha) cond[alpha] it returns
+    Against the mixture P_ZS = sum_alpha P_A(alpha) cond(alpha) it returns
     I(A ^ Z,S) = D(P_ZSA || P_A x P_ZS) and the total variation of P_ZSA from
     P_A x P_ZS, both as P_A-weighted sums over the colors.  Against
     P_Z x U_S it returns the maxima over the colors of D, D2 and the total
     variation.  A uniform seed makes the conditional divergences given S
-    equal to these: D(P_{Z|S,A=alpha} || P_Z | U_S) = D(cond[alpha] || P_Z x U_S).
+    equal to these: D(P_{Z|S,A=alpha} || P_Z | U_S) = D(cond(alpha) || P_Z x U_S).
     """
-    _, nz, b = cond.shape
-    p_zs = np.zeros((nz, b))
-    for w, c in zip(p_a, cond):
-        p_zs += w * c
-    ref = (p_z / b)[:, None].repeat(b, axis=1)
+    b = J.mosaic.b
+    p_zs = np.zeros((len(J.p_z), b))
+    for alpha, w in enumerate(J.p_a):
+        if w > 0:
+            p_zs += w * J.cond(alpha)
+    ref = (J.p_z / b)[:, None].repeat(b, axis=1)
     mi = tv_mix = 0.0
     max_kl = max_d2 = max_tv = -INF
-    for w, c in zip(p_a, cond):
+    for alpha, w in enumerate(J.p_a):
+        c = J.cond(alpha)
         if w > 0:
             mi += w * kl(c, p_zs)
             tv_mix += w * tv(c, p_zs)
         max_kl = max(max_kl, kl(c, ref))
         max_d2 = max(max_d2, d2(c, ref))
         max_tv = max(max_tv, tv(c, ref))
+        if each is not None:
+            each(c)
     return mi, tv_mix, max_kl, max_d2, max_tv
 
 
 def exact_wiretap_metrics(J: WiretapJoint) -> dict:
     """I(A ^ Z,S), the per-color conditional divergences given S, and the
     total-variation metric with its doubling upper bound."""
-    mi, tv_metric, max_kl, max_d2, max_tv = _color_divergences(J.cond_zs, J.p_a, J.p_z)
+    mi, tv_metric, max_kl, max_d2, max_tv = _color_divergences(J)
     tv_upper = 2.0 * max_tv
     return {
         "mutual_information": mi,
@@ -346,21 +337,21 @@ def exact_wiretap_metrics(J: WiretapJoint) -> dict:
 def exact_pa_metrics(J: PAJoint) -> dict:
     """max-over-key divergences from P_Z P_S, the strong-secrecy mutual
     information, and the key-uniformity deviation."""
-    cond = J.cond_zs
-    a, _, b = cond.shape
-    mi, _, max_kl, _, max_tv = _color_divergences(cond, J.p_a, J.p_z)
-    # D2(P_{S|Z=z,A=alpha} || U_S) = log2(b sum_s P(s|z,alpha)^2), maximized over z,
-    # one color at a time
-    max_d2_s = float(np.log2(b * max(np.square(c / J.p_z[:, None]).sum(axis=1).max()
-                                     for c in cond)))
-    key_dev = float(np.abs(cond.sum(axis=(1, 2)) / a - 1.0 / a).max())
+    a, b = J.mosaic.a, J.mosaic.b
+    seed_sq, totals = [], []
 
+    def each(c):
+        # D2(P_{S|Z=z,A=alpha} || U_S) = log2(b sum_s P(s|z,alpha)^2), maximized over z
+        seed_sq.append(np.square(c / J.p_z[:, None]).sum(axis=1).max())
+        totals.append(c.sum())
+
+    mi, _, max_kl, _, max_tv = _color_divergences(J, each)
     return {
         "max_kl": max_kl,
         "max_tv": max_tv,
         "mutual_information": mi,
-        "max_d2_seed": max_d2_s,
-        "key_uniformity_deviation": key_dev,
+        "max_d2_seed": float(np.log2(b * max(seed_sq))),
+        "key_uniformity_deviation": float(np.abs(np.array(totals) / a - 1.0 / a).max()),
         "strong_secrecy_ok": bool(mi <= max_kl + 1e-12),
     }
 

@@ -5,13 +5,14 @@ Monte Carlo pipelines here are calibration checks: decode correctness, key
 agreement, and chi-square goodness of fit of the empirical histograms against
 the exact distributions, pooling the cells whose expected count is below 5.
 
-The statistics hold no (z, s, alpha) array beside the joint law's single
-P_{ZS|A} stack: the joint chi-square reads that stack one color at a time,
-keeps only the cells whose expected count reaches the pooling threshold and
-the mass of the rest, and counts the observed cell codes with ``np.unique``;
-channel draws search each trial's cumulative row instead of comparing against
-it; batch mutual information counts the observed cell codes instead of
-filling a dense contingency table.
+The statistics hold no (z, s, alpha) array: the joint chi-square asks the
+joint law for P_{ZS|A=alpha} one color at a time, keeps only the cells whose
+expected count reaches the pooling threshold and the mass of the rest, and
+counts the observed cell codes with ``np.unique``; the empirical worst-key
+total variation reads the observed cells only; channel draws search each
+trial's cumulative row instead of comparing against it; batch mutual
+information counts the observed cell codes instead of filling a dense
+contingency table.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .security import (
     WiretapJoint,
     exact_pa_metrics,
     exact_wiretap_metrics,
-    tv,
 )
 
 
@@ -246,8 +246,8 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
     read from the color matrix the exact joint law materializes anyway.
 
     The trials' (z, s, alpha) cells are chi-square tested against the exact
-    wiretap joint, read one color at a time from its P_{ZS|A} stack; the
-    mutual-information estimate comes with a batch standard error.
+    wiretap joint, read one color at a time; the mutual-information estimate
+    comes with a batch standard error.
     """
     if cfg.channel is None:
         raise ValueError("wiretap simulation needs a channel")
@@ -272,8 +272,7 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
 
     joint = WiretapJoint(M, cfg.channel, p_a)
     cells = (zs * M.b + seeds) * M.a + alphas
-    stat, df, pval = _joint_chi_square(lambda al: joint.cond_zs[al] * joint.p_a[al],
-                                       M.a, cells)
+    stat, df, pval = _joint_chi_square(lambda al: joint.cond(al) * joint.p_a[al], M.a, cells)
 
     exact = exact_wiretap_metrics(joint)
     per_batch = n // cfg.batches
@@ -296,7 +295,7 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
 def pa_roundtrip(cfg: SimConfig) -> SimResult:
     """Shared-source draw, uniform seed, both parties hash; the key must be
     uniform and the trials' (z, s, key) cells must match the exact law, read
-    one key at a time from its P_{ZS|A} stack.
+    one key at a time.
 
     Both parties hash the same x with the same seed, so ``agreement`` is 1 by
     construction; it is reported for the output format's sake.
@@ -308,10 +307,9 @@ def pa_roundtrip(cfg: SimConfig) -> SimResult:
         raise ValueError("trial count must be at least 1")
     rng = np.random.default_rng(cfg.seed)
     src = cfg.source
-    nz = src.nz
 
-    flat_idx = rng.choice(src.v * nz, size=n, p=src.P.ravel())
-    xs, zs = np.divmod(flat_idx, nz)
+    flat_idx = rng.choice(src.v * src.nz, size=n, p=src.P.ravel())
+    xs, zs = np.divmod(flat_idx, src.nz)
     seeds = rng.integers(0, M.b, size=n)
     keys = M.color_matrix()[xs, seeds]
 
@@ -319,18 +317,17 @@ def pa_roundtrip(cfg: SimConfig) -> SimResult:
     key_counts = np.bincount(keys, minlength=M.a)
     _, _, p_key = chi_square_gof(key_counts, np.full(M.a, 1.0 / M.a))
     cells = (zs * M.b + seeds) * M.a + keys
-    stat, df, p_joint = _joint_chi_square(lambda al: joint.cond_zs[al] / M.a,  # uniform key
+    stat, df, p_joint = _joint_chi_square(lambda al: joint.cond(al) / M.a,  # uniform key
                                           M.a, cells)
 
-    # empirical worst-key TV against the product reference
-    ref = np.broadcast_to(joint.p_z[:, None] / M.b, (nz, M.b)).ravel()
-    emp_tv = 0.0
-    for al in range(M.a):
-        sel = keys == al
-        if sel.sum() == 0:
-            continue
-        hist = np.bincount(zs[sel] * M.b + seeds[sel], minlength=nz * M.b).astype(float)
-        emp_tv = max(emp_tv, tv(hist / sel.sum(), ref))
+    # empirical worst-key TV against P_Z x U_S: sum |h - r| over the observed
+    # (z, s) cells of each key, plus the reference mass r = P_Z(z)/b of the rest
+    seen, freq = np.unique(cells, return_counts=True)
+    zs_seen, key_seen = np.divmod(seen, M.a)
+    r = joint.p_z[zs_seen // M.b] / M.b
+    h = freq / key_counts[key_seen]
+    key_tv = np.bincount(key_seen, np.abs(h - r), M.a) + 1.0 - np.bincount(key_seen, r, M.a)
+    emp_tv = float(key_tv[key_counts > 0].max())
 
     exact = exact_pa_metrics(joint)
     passed = p_key >= cfg.significance and p_joint >= cfg.significance

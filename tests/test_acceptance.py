@@ -43,6 +43,11 @@ def member_matrices(M):
     return (F[None, :, :] == np.arange(M.a)[:, None, None]).astype(np.uint8)
 
 
+def cond_stack(J):
+    """The (a, nz, b) stack P_{ZS|A} of a joint law, one color at a time."""
+    return np.stack([J.cond(al) for al in range(J.mosaic.a)])
+
+
 def _grid_mosaics():
     out = []
     for t, q in M1_GRID:
@@ -270,7 +275,7 @@ def test_criterion_8_explicitness_round_trip():
 
 
 def test_color_matrix_paths_match_member_stack_oracle():
-    """Over the acceptance grid, the joint laws scattered from the color matrix
+    """Over the acceptance grid, the joint laws gathered from the color matrix
     match an einsum over the member stack to 1e-12, and a from_members mosaic's
     g walks the points of its input stack in ascending order."""
     rng = np.random.default_rng(2102)
@@ -278,13 +283,14 @@ def test_color_matrix_paths_match_member_stack_oracle():
         N = member_matrices(M).astype(float)
         channel = dm.random_channel(M.v, 3, rng)
         want = np.einsum("xz,axs->azs", channel.W, N) / (M.b * M.k)
-        assert np.abs(dm.WiretapJoint(M, channel).cond_zs - want).max() <= 1e-12, M
+        assert np.abs(cond_stack(dm.WiretapJoint(M, channel)) - want).max() <= 1e-12, M
         src = dm.random_source(M.v, 3, rng)
-        J = dm.PAJoint(M, src)
+        cond = cond_stack(dm.PAJoint(M, src))
         pzN = np.einsum("xz,axs->azs", src.P, N)
         r = M.b * M.k // M.v
-        assert np.abs(J.cond_zs - pzN * (M.a / M.b)).max() <= 1e-12, M
-        assert np.abs(J.cond_s_given_za - pzN / (r * src.P_Z[None, :, None])).max() <= 1e-12, M
+        assert np.abs(cond - pzN * (M.a / M.b)).max() <= 1e-12, M
+        seed_law = cond / src.P_Z[None, :, None]            # P_{S|Z,A}
+        assert np.abs(seed_law - pzN / (r * src.P_Z[None, :, None])).max() <= 1e-12, M
 
         stack = np.stack([D.N for D in M.members()])
         E = dm.from_members([dm.IncidenceStructure(m) for m in stack])

@@ -8,10 +8,17 @@ import pytest
 from designmosaics.designs import GDDParams, IncidenceStructure
 from designmosaics.families import ag_design, build_m1, build_m2, build_m3, build_m4, clatworthy_r1
 from designmosaics import security
+from designmosaics.mosaics import (
+    Quasigroup,
+    _from_colors,
+    construct_from_resolvable,
+    dual_mosaic,
+    from_members,
+    point_multiple,
+)
 from designmosaics.security import (
     INF,
     _pa_terms,
-    _scatter_by_color,
     Channel,
     JointXZ,
     PAJoint,
@@ -22,9 +29,7 @@ from designmosaics.security import (
     bound_wt_gdd,
     bound_wt_tv_bibd,
     bound_wt_tv_gdd,
-    chi2,
     d2,
-    d2_cond,
     divergence_comparison,
     entropy_comparison,
     exact_pa_metrics,
@@ -34,8 +39,6 @@ from designmosaics.security import (
     generalized_bound,
     key_marginal_exact,
     kl,
-    kl_cond,
-    mutual_information,
     pa_report,
     prop41_check,
     prop42_check,
@@ -49,7 +52,15 @@ from designmosaics.simkit import (
     random_channel,
     random_source,
 )
-from test_acceptance import _grid_mosaics, member_matrices
+from test_acceptance import (
+    M1_GRID,
+    M2_GRID,
+    M3_GRID,
+    M4_GRID,
+    _grid_mosaics,
+    cond_stack,
+    member_matrices,
+)
 
 
 def wiretap_tensor(J):
@@ -66,6 +77,34 @@ def pa_tensor(J):
 
 
 # -- divergences ---------------------------------------------------------------
+
+def chi2(P, Q) -> float:
+    """sum over {Q > 0} of Q (P/Q - 1)^2."""
+    P, Q = security._pair(P, Q)
+    m = Q > 0
+    return float((np.square(P[m] - Q[m]) / Q[m]).sum())
+
+
+def _joint_and_product(W, Q, P):
+    """The joint P(x) W(z|x) and the product P(x) Q(z), as (x, z) arrays."""
+    P = np.asarray(P, dtype=float).ravel()
+    return P[:, None] * np.asarray(W, dtype=float), np.outer(P, np.asarray(Q, dtype=float).ravel())
+
+
+def kl_cond(W, Q, P) -> float:
+    """D(W || Q | P) = sum_x P(x) D(W(.|x) || Q) = D(P W || P x Q)."""
+    return kl(*_joint_and_product(W, Q, P))
+
+
+def d2_cond(W, Q, P) -> float:
+    return d2(*_joint_and_product(W, Q, P))
+
+
+def mutual_information(P_XY) -> float:
+    """I(X ^ Y) = D(P_XY || P_X x P_Y) from a joint matrix."""
+    P = np.asarray(P_XY, dtype=float)
+    return kl(P, np.outer(P.sum(axis=1), P.sum(axis=0)))
+
 
 def test_divergences_at_equal_distributions():
     P = np.array([0.2, 0.3, 0.5])
@@ -169,9 +208,9 @@ def test_wiretap_joint_pz_two_ways():
     W = random_channel(M.v, 7, rng)
     for p_a in (None, rng.dirichlet(np.ones(M.a))):
         J = WiretapJoint(M, W, p_a)
-        pz_tensor = J.p_zsa.sum(axis=(0, 2))
-        assert np.abs(pz_tensor - J.p_z).max() < 1e-12
-        assert abs(J.p_zsa.sum() - 1.0) < 1e-12
+        p_zsa = cond_stack(J) * J.p_a[:, None, None]
+        assert np.abs(p_zsa.sum(axis=(0, 2)) - J.p_z).max() < 1e-12
+        assert abs(p_zsa.sum() - 1.0) < 1e-12
         assert abs(wiretap_tensor(J).sum() - 1.0) < 1e-12
 
 
@@ -182,9 +221,9 @@ def test_wiretap_point_mass_marginal_is_member_conditional():
     alpha0 = 1
     p_a = np.zeros(M.a)
     p_a[alpha0] = 1.0
-    J = WiretapJoint(M, W, p_a)
-    marg = J.p_zsa.sum(axis=0)
-    assert np.abs(marg - J.cond_zs[alpha0]).max() < 1e-15
+    cond = cond_stack(WiretapJoint(M, W, p_a))
+    marg = (cond * p_a[:, None, None]).sum(axis=0)
+    assert np.abs(marg - cond[alpha0]).max() < 1e-15
 
 
 def test_pa_joint_key_marginal_exactly_uniform():
@@ -207,19 +246,20 @@ def test_pa_joint_seed_conditional_formula():
     rng = np.random.default_rng(5)
     src = random_source(M.v, 4, rng)
     J = PAJoint(M, src)
+    seed_law = cond_stack(J) / J.p_z[None, :, None]        # P_{S|Z,A}
     N = member_matrices(M).astype(float)
     r = M.b * M.k // M.v
     for alpha in range(M.a):
         for z in range(src.nz):
             p_z = src.P[:, z]
             want = (p_z @ N[alpha]) / (r * p_z.sum())
-            assert np.abs(J.cond_s_given_za[alpha, z] - want).max() < 1e-15
+            assert np.abs(seed_law[alpha, z] - want).max() < 1e-15
     # the same conditional from the full tensor
     T = pa_tensor(J)  # (x, z, s, alpha)
     cond = T.sum(axis=0)  # (z, s, alpha)
     for alpha in range(M.a):
         got = cond[:, :, alpha] / cond[:, :, alpha].sum(axis=1, keepdims=True)
-        assert np.abs(got - J.cond_s_given_za[alpha]).max() < 1e-12
+        assert np.abs(got - seed_law[alpha]).max() < 1e-12
 
 
 # -- exact metrics -----------------------------------------------------------------
@@ -646,7 +686,7 @@ def mutual_information_rows(P_XY):
 
 
 def exact_wiretap_metrics_rows(J):
-    cond = J.cond_zs
+    cond = cond_stack(J)
     a, nz, b = cond.shape
     p_a = J.p_a
     p_zsa = cond * p_a[:, None, None]
@@ -677,8 +717,9 @@ def exact_wiretap_metrics_rows(J):
 
 
 def exact_pa_metrics_rows(J):
-    cond = J.cond_zs
+    cond = cond_stack(J)
     a, nz, b = cond.shape
+    seed_law = cond / J.p_z[None, :, None]                  # P_{S|Z,A}
     ref = np.broadcast_to(J.p_z[:, None] / b, (nz, b))
     max_kl = max(kl(cond[al], ref) for al in range(a))
     max_tv = max(tv(cond[al], ref) for al in range(a))
@@ -688,7 +729,7 @@ def exact_pa_metrics_rows(J):
     max_d2_s = -INF
     for al in range(a):
         for z in range(nz):
-            max_d2_s = max(max_d2_s, d2(J.cond_s_given_za[al, z], unif_b))
+            max_d2_s = max(max_d2_s, d2(seed_law[al, z], unif_b))
     key_dev = float(np.abs(cond.sum(axis=(1, 2)) / a - 1.0 / a).max())
     return {
         "max_kl": max_kl,
@@ -824,44 +865,60 @@ def test_conditional_divergences_support_escape():
     assert abs(d2_cond(W, Q, P) - d2_cond_rows(W, Q, P)) <= 1e-12
 
 
-# -- oracles: the three-array PAJoint and the copying WiretapJoint that the
-#    one-array joint laws replaced ---------------------------------------------------
+# -- oracle: the scatter that filled the (a, nz, b) stack before the joint laws
+#    gathered one color at a time from the block table -------------------------
 
-class PAJointThreeArrays:
-    """PAJoint as it was: the scatter output pzN, a scaled copy for P_{ZS|A}
-    and another for P_{S|Z,A}."""
+def _scatter_by_color(mosaic, rows) -> np.ndarray:
+    """The (a, nz, b) array whose entry (alpha, z, s) sums rows[x, z] over the
+    points x with f(x, s) = alpha: one bincount per output letter z over the
+    cell codes F[x, s] * b + s."""
+    a, b = mosaic.a, mosaic.b
+    codes = (mosaic.color_matrix().astype(np.int64) * b + np.arange(b)).ravel()
+    out = np.empty((a, rows.shape[1], b))
+    for z in range(rows.shape[1]):
+        weights = np.repeat(rows[:, z], b)
+        out[:, z, :] = np.bincount(codes, weights, minlength=a * b).reshape(a, b)
+    return out
 
-    def __init__(self, M, joint):
-        r = M.b * M.k // M.v
-        pzN = _scatter_by_color(M, joint.P)
-        self.cond_zs = pzN * (M.a / M.b)
-        self.cond_s_given_za = pzN / (r * joint.P_Z[None, :, None])
-        self.p_zsa = self.cond_zs / M.a
-        self.max_d2_seed = float(np.log2(M.b * max(np.square(c).sum(axis=1).max()
-                                                   for c in self.cond_s_given_za)))
+
+def _resolvable_over_table():
+    D, R = ag_design(2, 3)
+    return construct_from_resolvable(D, R, Quasigroup([[0, 2, 1], [1, 0, 2], [2, 1, 0]]))
 
 
-def test_one_array_joint_laws_match_copying_oracles():
-    """Over the acceptance grid, P_{ZS|A} and P_{ZSA} are bit-identical to the
-    copying constructions; P_{S|Z,A} agrees to 1e-12, max_d2_seed to 1e-12
-    relative."""
-    rng = np.random.default_rng(2103)
-    for M in _grid_mosaics():
-        nz = int(rng.integers(2, 7))
+LAW_CASES = (
+    [(f"m1{p}", lambda p=p: build_m1(*p)) for p in M1_GRID]
+    + [(f"m2{p}", lambda p=p: build_m2(*p)) for p in M2_GRID + [(5, 3)]]
+    + [(f"m3{p}", lambda p=p: build_m3(*p)) for p in M3_GRID + [(3, 2, 2)]]
+    + [(f"m4{p}", lambda p=p: build_m4(*p)) for p in M4_GRID + [(9, 8)]]
+    + [("m1(3,4)", lambda: build_m1(3, 4)),
+       ("from_members", lambda: from_members(build_m1(2, 3).members())),
+       ("dual_mosaic", lambda: dual_mosaic(build_m1(2, 3))),
+       ("point_multiple", lambda: point_multiple(build_m2(2, 1), 2)),
+       ("resolvable_over_table", _resolvable_over_table)]
+)
+
+
+@pytest.mark.parametrize("case", range(len(LAW_CASES)), ids=[c[0] for c in LAW_CASES])
+def test_per_color_laws_match_the_scatter_oracle(case):
+    """Every color's P_{ZS|A=alpha} of both joint laws is bit-identical to the
+    scattered stack, scaled as the stack was, with a few output letters and
+    with nz = v."""
+    M = LAW_CASES[case][1]()
+    rng = np.random.default_rng(2100 + case)
+    for nz in (2 + case % 6, M.v):
         W = random_channel(M.v, nz, rng)
-        p_a = rng.dirichlet(np.ones(M.a))
-        J = WiretapJoint(M, W, p_a)
-        want = _scatter_by_color(M, W.W) / (M.b * M.k)
-        assert np.array_equal(J.cond_zs, want), M
-        assert np.array_equal(J.p_zsa, want * p_a[:, None, None]), M
-
+        want = _scatter_by_color(M, W.W)
+        want /= M.b * M.k
+        J = WiretapJoint(M, W, rng.dirichlet(np.ones(M.a)))
+        for al in range(M.a):
+            assert np.array_equal(J.cond(al), want[al]), (M, nz, al)
         src = random_source(M.v, nz, rng)
-        J, oracle = PAJoint(M, src), PAJointThreeArrays(M, src)
-        assert np.array_equal(J.cond_zs, oracle.cond_zs), M
-        assert np.array_equal(J.p_zsa, oracle.p_zsa), M
-        assert np.abs(J.cond_s_given_za - oracle.cond_s_given_za).max() <= 1e-12, M
-        got = exact_pa_metrics(J)["max_d2_seed"]
-        assert abs(got - oracle.max_d2_seed) <= 1e-12 * abs(oracle.max_d2_seed), M
+        want = _scatter_by_color(M, src.P)
+        want *= M.a / M.b
+        J = PAJoint(M, src)
+        for al in range(M.a):
+            assert np.array_equal(J.cond(al), want[al]), (M, nz, al)
 
 
 def _build_peak(build) -> int:
@@ -877,8 +934,8 @@ def _build_peak(build) -> int:
 
 def test_joint_laws_build_one_array():
     """Building either joint law of m4(9,8) with 72 output letters peaks below
-    1.5 times its (a, nz, b) array: the law is scattered once and scaled in
-    place, with only (v, b)-sized codes and weights beside it."""
+    1.5 times the (a, nz, b) stack: the build holds the block table and
+    replication counts, no law."""
     M = build_m4(9, 8)
     rng = np.random.default_rng(6)
     src = random_source(M.v, M.v, rng)
@@ -887,3 +944,28 @@ def test_joint_laws_build_one_array():
     cells = M.a * M.v * M.b * 8
     assert _build_peak(lambda: PAJoint(M, src)) < 1.5 * cells
     assert _build_peak(lambda: WiretapJoint(M, W)) < 1.5 * cells
+
+
+def test_exact_metrics_peak_below_half_the_stack():
+    """On m2(5,3) with nz = v, building either joint law and computing its
+    exact metrics peaks below half the (a, nz, b) stack: the laws are read one
+    color at a time."""
+    M = build_m2(5, 3)
+    rng = np.random.default_rng(21)
+    W = random_channel(M.v, M.v, rng)
+    src = random_source(M.v, M.v, rng)
+    M.color_matrix()
+    stack = M.a * M.v * M.b * 8
+    assert _build_peak(lambda: exact_wiretap_metrics(WiretapJoint(M, W))) < 0.5 * stack
+    assert _build_peak(lambda: exact_pa_metrics(PAJoint(M, src))) < 0.5 * stack
+
+
+def test_joint_laws_reject_a_seed_without_k_points_of_each_color():
+    # k = 2, but seed 0 holds three points of color 0 and one of color 1
+    F = np.array([[0, 0], [0, 1], [0, 0], [1, 1]], dtype=np.int32)
+    M = _from_colors(F, 2)
+    assert M.k == 2
+    with pytest.raises(ValueError, match="seed 0 holds 3 points of color 0, not k = 2"):
+        WiretapJoint(M, identity_channel(M.v))
+    with pytest.raises(ValueError, match="seed 0 holds 3 points of color 0, not k = 2"):
+        PAJoint(M, independent_source(M.v, 2))

@@ -9,7 +9,7 @@ from designmosaics.cli import main
 from designmosaics.families import build_m1, build_m4
 from designmosaics.mosaics import Mosaic
 from designmosaics.serialize import load_mosaic, save_mosaic
-from designmosaics.security import Channel, PAJoint, WiretapJoint, exact_wiretap_metrics
+from designmosaics.security import Channel, PAJoint, WiretapJoint, exact_wiretap_metrics, tv
 from designmosaics.simkit import (
     SimConfig,
     _draw_outputs,
@@ -27,7 +27,7 @@ from designmosaics.simkit import (
     symmetric_channel,
     wiretap_roundtrip,
 )
-from test_acceptance import _grid_mosaics
+from test_acceptance import _grid_mosaics, cond_stack
 from test_security import _build_peak
 
 
@@ -95,7 +95,7 @@ def test_wiretap_roundtrip_point_mass_message():
     counts = np.bincount(res.cells, minlength=M.v * M.b * M.a).reshape(M.v, M.b, M.a)
     assert counts[:, :, 0].sum() == 0
     J = WiretapJoint(M, identity_channel(M.v), p_a)
-    _, _, p = chi_square_gof(counts[:, :, 1].ravel(), J.cond_zs[1].ravel())
+    _, _, p = chi_square_gof(counts[:, :, 1].ravel(), J.cond(1).ravel())
     assert p >= 1e-3
 
 
@@ -116,6 +116,35 @@ def test_pa_roundtrip_independent_source_low_tv():
     res = pa_roundtrip(cfg)
     assert res.exact["max_tv"] < 1e-12
     assert res.empirical["max_tv"] < 0.2      # sampling noise only
+
+
+def empirical_max_tv_dense_oracle(M, p_z, cells):
+    """The worst-key TV of the PA trials against P_Z x U_S from one dense
+    (nz, b) histogram per key."""
+    nz = len(p_z)
+    zs_b, keys = np.divmod(cells, M.a)
+    ref = np.broadcast_to(p_z[:, None] / M.b, (nz, M.b)).ravel()
+    out = 0.0
+    for al in range(M.a):
+        sel = keys == al
+        if sel.sum() == 0:
+            continue
+        hist = np.bincount(zs_b[sel], minlength=nz * M.b).astype(float)
+        out = max(out, tv(hist / sel.sum(), ref))
+    return out
+
+
+def test_pa_empirical_tv_from_observed_cells_matches_dense_oracle():
+    """On the acceptance grid, at few and many trials (some keys unseen, some
+    cells seen often), the observed-cell TV agrees with the dense histograms."""
+    rng = np.random.default_rng(83)
+    for M in _grid_mosaics():
+        src = random_source(M.v, int(rng.integers(2, 8)), rng)
+        for trials in (3, 4000):
+            res = pa_roundtrip(SimConfig(mosaic=M, trials=trials, source=src,
+                                         seed=int(rng.integers(2 ** 31))))
+            want = empirical_max_tv_dense_oracle(M, src.P_Z, res.cells)
+            assert abs(res.empirical["max_tv"] - want) <= 1e-12, M
 
 
 def test_reproducibility_bit_identical():
@@ -327,14 +356,14 @@ def test_roundtrip_joint_chi_square_matches_dense_oracle():
             for trials in (200, 5000):
                 res = wiretap_roundtrip(SimConfig(mosaic=M, trials=trials, channel=W, p_a=p_a,
                                                   seed=int(rng.integers(2 ** 31))))
-                cond = WiretapJoint(M, W, p_a).cond_zs
+                cond = cond_stack(WiretapJoint(M, W, p_a))
                 got, want = _wiretap_forms(cond, p_a, res.cells)
                 _assert_matches_dense(got, want)
                 assert got == _verdict(res), M
         src = random_source(M.v, nz, rng)
         res = pa_roundtrip(SimConfig(mosaic=M, trials=3000, source=src,
                                      seed=int(rng.integers(2 ** 31))))
-        cond = PAJoint(M, src).cond_zs
+        cond = cond_stack(PAJoint(M, src))
         got, want = _pa_forms(cond, res.cells)
         _assert_matches_dense(got, want)
         assert got == _verdict(res), M
