@@ -52,6 +52,6 @@ print()
 print("Convergence sanity: quadrupling the trials roughly halves the batch SE")
 for trials in (8000, 32000):
     cfg = dm.SimConfig(mosaic=M, trials=trials, seed=10,
-                       channel=dm.symmetric_channel(M.v, 0.25), batches=16)
+                       channel=dm.symmetric_channel(M.v, 0.25))
     r = dm.wiretap_roundtrip(cfg)
     print(f"  trials {trials:>6}: SE {r.empirical['mi_batch_se']:.5f}")

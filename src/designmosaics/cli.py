@@ -62,6 +62,13 @@ def _emit(payload, out):
         _write_out(out, lambda path: Path(path).write_text(text))
 
 
+def _finish(payload, args, code):
+    """Add the payload's ``inputs_hash``, emit it and return the exit code."""
+    payload["inputs_hash"] = content_hash(payload)
+    _emit(payload, args.out)
+    return code
+
+
 def _write_out(path, write):
     """``write(path)``; an OSError is an error of --out naming the path once."""
     try:
@@ -212,9 +219,9 @@ def cmd_verify(args):
         result["functional_form"] = "consistent"
         result["ok"] = True
         result["member_params"] = params_to_json(M.member_params) if M.member_params else None
-        result["inputs_hash"] = content_hash(result)
+        return _finish(result, args, 0)
     _emit(result, args.out)
-    return 1 if fail else 0
+    return 1
 
 
 def cmd_rates(args):
@@ -227,9 +234,7 @@ def cmd_rates(args):
         "optimal": rep.optimal, "verdict": rep.verdict, "reason": rep.reason,
         "td_rate_floor": rep.td_rate_floor,
     }
-    payload["inputs_hash"] = content_hash(payload)
-    _emit(payload, args.out)
-    return 0
+    return _finish(payload, args, 0)
 
 
 def cmd_bounds(args):
@@ -245,9 +250,7 @@ def cmd_bounds(args):
     payload["scenario"] = args.scenario
     payload["params"] = _family_params(args)
     payload["seed"] = args.seed
-    payload["inputs_hash"] = content_hash(payload)
-    _emit(payload, args.out)
-    return 0 if rep.dominates else 1
+    return _finish(payload, args, 0 if rep.dominates else 1)
 
 
 def cmd_exact(args):
@@ -256,7 +259,7 @@ def cmd_exact(args):
     member = M.member(0)
     params = M.member_params
     part = M.point_classes
-    # a fixed channel or source is parsed once; 'random' draws a fresh one per trial
+    # a fixed channel or source is parsed once; 'random' (the default) draws one per trial
     if args.check == "prop41":
         check, spec, parse, draw = prop41_check, args.channel, _parse_channel, random_channel
     else:
@@ -272,25 +275,20 @@ def cmd_exact(args):
         "trials": args.trials, "seed": args.seed, "tol": args.tol,
         "max_discrepancy": worst, "ok": ok,
     }
-    payload["inputs_hash"] = content_hash(payload)
-    _emit(payload, args.out)
-    return 0 if ok else 1
+    return _finish(payload, args, 0 if ok else 1)
 
 
 def cmd_hashprops(args):
     M = _build(args)
     payload = hashprops_report(M)
     payload["params"] = _family_params(args)
-    payload["inputs_hash"] = content_hash(payload)
-    _emit(payload, args.out)
-    return 0
+    return _finish(payload, args, 0)
 
 
 def cmd_simulate(args):
     M = _build(args)
     rng = np.random.default_rng(args.seed)
-    cfg = SimConfig(mosaic=M, trials=args.trials, seed=args.seed,
-                    batches=min(10, args.trials), significance=args.significance)
+    cfg = SimConfig(mosaic=M, trials=args.trials, seed=args.seed, significance=args.significance)
     if args.scenario == "wiretap":
         cfg.channel = _parse_channel(args.channel, M.v, rng)
         cfg.p_a = _parse_pa(args.pa, M.a)
@@ -300,9 +298,7 @@ def cmd_simulate(args):
         res = pa_roundtrip(cfg)
     payload = res.to_json()
     payload["params"] = _family_params(args)
-    payload["inputs_hash"] = content_hash(payload)
-    _emit(payload, args.out)
-    return 0 if res.passed else 1
+    return _finish(payload, args, 0 if res.passed else 1)
 
 
 def _add_command(sub, name, fn, help):
@@ -338,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_command(sub, "exact", cmd_exact, "exact-identity checks on random channels/sources")
     p.add_argument("--check", choices=("prop41", "prop42"), required=True)
-    p.add_argument("--channel", default="random")
-    p.add_argument("--source", default="random")
+    p.add_argument("--channel")
+    p.add_argument("--source")
     p.add_argument("--trials", type=int, default=100)
     _add_command(sub, "hashprops", cmd_hashprops, "collision spectrum and universality report")
 
@@ -370,10 +366,23 @@ def _check_numeric_flags(args):
         raise CliError(f"--significance must lie in (0, 1), got {args.significance}")
 
 
+READS = {"wiretap": ("channel", "pa"), "pa": ("source",), "prop41": ("channel",), "prop42": ("source",)}
+
+
+def _check_unread_flags(args):
+    """Reject a --channel, --source or --pa that the --scenario or --check does not read."""
+    mode = "scenario" if hasattr(args, "scenario") else "check"
+    value = getattr(args, mode, None)
+    for flag in ("channel", "source", "pa"):
+        if getattr(args, flag, None) is not None and flag not in READS[value]:
+            raise CliError(f"--{flag} is not read by {args.command} --{mode} {value}")
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         _check_numeric_flags(args)
+        _check_unread_flags(args)
         return args.fn(args)
     except (CliError, ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -38,16 +38,6 @@ class BIBDParams:
     r: int
     b: int
 
-    @classmethod
-    def from_vkl(cls, v, k, lam):
-        num = lam * (v - 1)
-        if k == 1 or num % (k - 1):
-            raise ValueError("r = lambda (v-1)/(k-1) is not an integer")
-        r = num // (k - 1)
-        if (v * r) % k:
-            raise ValueError("b = v r / k is not an integer")
-        return cls(v=v, k=k, lam=lam, r=r, b=v * r // k)
-
 
 @dataclass(frozen=True)
 class GDDParams:
@@ -122,9 +112,6 @@ class IncidenceStructure:
         Nl = self.N.astype(np.int64)
         return Nl @ Nl.T
 
-    def block_points(self, s):
-        return np.flatnonzero(self.N[:, s])
-
     def __eq__(self, other):
         return isinstance(other, IncidenceStructure) and np.array_equal(self.N, other.N)
 
@@ -161,12 +148,16 @@ def verify_bibd(D: IncidenceStructure, lam: int):
     tact = verify_tactical(D)
     if not tact:
         return tact
-    G = D.gram()
     expect = (tact.r - lam) * np.eye(D.v, dtype=np.int64) + lam * np.ones((D.v, D.v), dtype=np.int64)
-    if not np.array_equal(G, expect):
-        i, j = map(int, np.argwhere(G != expect)[0])
-        return CheckFailure("pair count mismatch", (i, j, int(G[i, j]), int(expect[i, j])))
-    return BIBDParams(v=D.v, k=tact.k, lam=lam, r=tact.r, b=D.b)
+    return _pair_counts(D, expect, BIBDParams(v=D.v, k=tact.k, lam=lam, r=tact.r, b=D.b))
+
+
+def _pair_counts(D, expect, params):
+    """``params`` when N N^T equals ``expect``, else the first row-major mismatch."""
+    G = D.gram()
+    for i, j in np.argwhere(G != expect)[:1]:
+        return CheckFailure("pair count mismatch", (int(i), int(j), int(G[i, j]), int(expect[i, j])))
+    return params
 
 
 def _class_matrix(v, partition):
@@ -195,12 +186,8 @@ def verify_gdd(D: IncidenceStructure, partition, lambda1: int, lambda2: int):
     expect = ((tact.r - lambda1) * np.eye(D.v, dtype=np.int64)
               + (lambda1 - lambda2) * C
               + lambda2 * np.ones((D.v, D.v), dtype=np.int64))
-    G = D.gram()
-    if not np.array_equal(G, expect):
-        i, j = map(int, np.argwhere(G != expect)[0])
-        return CheckFailure("pair count mismatch", (i, j, int(G[i, j]), int(expect[i, j])))
-    return GDDParams(u=u, m=m, k=tact.k, lambda1=lambda1, lambda2=lambda2,
-                     v=D.v, r=tact.r, b=D.b, partition=classes)
+    return _pair_counts(D, expect, GDDParams(u=u, m=m, k=tact.k, lambda1=lambda1, lambda2=lambda2,
+                                             v=D.v, r=tact.r, b=D.b, partition=classes))
 
 
 def verify_resolution(D: IncidenceStructure, classes):

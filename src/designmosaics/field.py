@@ -6,13 +6,12 @@ c0 + c1*p + ... + c_{n-1}*p^(n-1).  For p = 2 this is plain bit packing,
 so addition is XOR and the basis vector theta^i is ``1 << i``.
 
 Besides the four arithmetic operations, the module provides the
-characteristic-2 machinery needed by the Denniston constructions:
-absolute trace, dual basis, square roots, Artin-Schreier solving and
-quadratic root finding.  These primitives are table lookups, derived once
-per field: the trace is F_2-linear (Lidl & Niederreiter, *Finite Fields*,
-Thm 2.23), so Tr(x) is the parity of ``x & tmask``; dual coordinates and
-Artin-Schreier roots are GF(2)-linear maps applied as an XOR of n
-precomputed columns; a square root halves the discrete log.
+characteristic-2 machinery needed by the Denniston constructions: absolute
+trace, dual basis, square roots and Artin-Schreier solving.  These are table
+lookups, derived once per field: the trace is F_2-linear (Lidl & Niederreiter,
+*Finite Fields*, Thm 2.23), so Tr(x) is the parity of ``x & tmask``; dual
+coordinates and Artin-Schreier roots are GF(2)-linear maps applied as an XOR
+of n precomputed columns; a square root halves the discrete log.
 :class:`FieldArrays` applies the same operations element-wise to int arrays.
 """
 
@@ -177,11 +176,6 @@ class GF:
 
     # -- encoding -----------------------------------------------------------
 
-    def to_coeffs(self, x: int) -> tuple:
-        if not 0 <= x < self.order:
-            raise ValueError(f"{x} is not an element of {self}")
-        return tuple(_digits(x, self.p, self.n))
-
     def from_coeffs(self, coeffs) -> int:
         coeffs = list(coeffs)
         if len(coeffs) > self.n:
@@ -224,11 +218,6 @@ class GF:
             out += ((-da) % p) * mult
             mult *= p
         return out
-
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -393,22 +382,6 @@ class GF:
         # the kernel of w -> w^2 + w is the prime subfield {0, 1}
         w = _apply_cols(self._as_cols, a)
         return (w, w ^ 1)
-
-    def quadratic_roots(self, alpha: int, beta: int, gamma: int) -> tuple:
-        """All c with alpha*c^2 + beta*c + gamma = 0 in characteristic 2.
-
-        For beta != 0 this substitutes w = alpha*c/beta and solves the
-        Artin-Schreier equation w^2 + w = alpha*gamma/beta^2; the degenerate
-        beta = 0 case has the single root sqrt(gamma/alpha).
-        """
-        self._require_char2()
-        if alpha == 0:
-            raise ValueError("leading coefficient is zero; not a quadratic")
-        if beta == 0:
-            return (self.sqrt(self.div(gamma, alpha)),)
-        k = self.div(self.mul(alpha, gamma), self.mul(beta, beta))
-        scale = self.div(beta, alpha)
-        return tuple(sorted(self.mul(scale, w) for w in self.artin_schreier_roots(k)))
 
     def _require_char2(self):
         if self.p != 2:

@@ -13,7 +13,7 @@ are derived on demand.
 
 A mosaic built from a resolvable design and a quasigroup on the colors has
 the resolvable form f(x, (i, beta)) = L(beta, gamma_i(x)), with the seed
-s = i a + beta.  A :class:`Quasigroup` is its Latin square L[beta, gamma].
+s = i a + beta.  A :class:`Quasigroup` holds L[beta, gamma] and its right division.
 Such a mosaic may carry a ``form``: a callable returning its (v, b/a) class
 table G[x, i] = gamma_i(x) and its (a, a) color table L.  Its color matrix is
 then one gather over (G, L): so for ``construct_from_resolvable``,
@@ -50,7 +50,7 @@ from .designs import (
 
 class Quasigroup:
     """Binary operation on [a] with unique left and right division, held as its
-    Latin square ``table[beta, gamma]``; both divisions are table lookups."""
+    Latin square ``table[beta, gamma]`` and its right division ``_right``."""
 
     def __init__(self, table):
         T = np.asarray(table, dtype=np.int64)
@@ -62,18 +62,6 @@ class Quasigroup:
         self.order = T.shape[0]
         self.table = T
         self._right = np.argsort(T, axis=1)      # _right[beta, alpha] = gamma
-        self._left = np.argsort(T.T, axis=1)     # _left[gamma, alpha] = beta
-
-    def value(self, beta, gamma):
-        return int(self.table[beta, gamma])
-
-    def solve_right(self, beta, alpha):
-        """The unique gamma with value(beta, gamma) = alpha."""
-        return int(self._right[beta, alpha])
-
-    def solve_left(self, gamma, alpha):
-        """The unique beta with value(beta, gamma) = alpha."""
-        return int(self._left[gamma, alpha])
 
 
 class CyclicQuasigroup(Quasigroup):
@@ -315,7 +303,7 @@ def construct_from_resolvable(D: IncidenceStructure, resolution: Resolution, L: 
 
     def f(x, s):
         i, beta = divmod(s, a)
-        return L.value(beta, int(gamma_of[x, i]))
+        return L.table[beta, gamma_of[x, i]]
 
     def g(s, alpha, kappa):
         i, beta = divmod(s, a)

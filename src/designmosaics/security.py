@@ -121,10 +121,6 @@ class Channel:
     def v(self):
         return self.W.shape[0]
 
-    @property
-    def nz(self):
-        return self.W.shape[1]
-
     def output_distribution(self) -> np.ndarray:
         """P_X W under the uniform input P_X."""
         return self.W.mean(axis=0)

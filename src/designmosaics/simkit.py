@@ -190,7 +190,6 @@ class SimConfig:
     channel: Optional[Channel] = None
     source: Optional[JointXZ] = None
     p_a: Optional[np.ndarray] = None
-    batches: int = 10
     significance: float = 1e-3
 
 
@@ -247,15 +246,13 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
 
     The trials' (z, s, alpha) cells are chi-square tested against the exact
     wiretap joint, read one color at a time; the mutual-information estimate
-    comes with a batch standard error.
+    comes with the standard error over min(10, trials) batches.
     """
     if cfg.channel is None:
         raise ValueError("wiretap simulation needs a channel")
     M, n = cfg.mosaic, cfg.trials
     if n < 1:
         raise ValueError("trial count must be at least 1")
-    if not 1 <= cfg.batches <= n:
-        raise ValueError(f"batch count {cfg.batches} must lie in [1, trials = {n}]")
     rng = np.random.default_rng(cfg.seed)
     p_a = np.full(M.a, 1.0 / M.a) if cfg.p_a is None else np.asarray(cfg.p_a, float)
 
@@ -275,9 +272,10 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
     stat, df, pval = _joint_chi_square(lambda al: joint.cond(al) * joint.p_a[al], M.a, cells)
 
     exact = exact_wiretap_metrics(joint)
-    per_batch = n // cfg.batches
+    batches = min(10, n)
+    per_batch = n // batches
     batch_mi = [_empirical_mi(cells[i * per_batch:(i + 1) * per_batch], M.a)
-                for i in range(cfg.batches)]
+                for i in range(batches)]
     mi_mean = float(np.mean(batch_mi))
     mi_se = float(np.std(batch_mi, ddof=1) / math.sqrt(len(batch_mi))) if len(batch_mi) > 1 else 0.0
 

@@ -220,6 +220,20 @@ def test_family_flags_the_family_does_not_take_are_rejected(capsys, argv, flag):
     assert json.loads(err)["error"].startswith(f"{flag} is not a parameter of family {argv[2]}")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("bounds", "--scenario", "pa", "--source", "random", "--pa", "point:1"), "--pa"),
+    (("bounds", "--channel", "random", "--source", "{missing}"), "--source"),
+    (("simulate", "--scenario", "pa", "--source", "random", "--channel", "identity"), "--channel"),
+    (("exact", "--check", "prop42", "--channel", "{missing}"), "--channel"),
+], ids=["bounds_pa_with_pa", "bounds_wiretap_with_source", "simulate_pa_with_channel",
+        "exact_prop42_with_channel"])
+def test_law_flags_the_scenario_or_check_does_not_read_are_rejected(tmp_path, capsys, argv, flag):
+    argv = [arg.replace("{missing}", str(tmp_path / "missing.csv")) for arg in argv]
+    code, out, err = run(capsys, *argv, "--family", "m1", "--t", "2", "--q", "2")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith(f"{flag} is not read by {argv[0]} --"), err
+
+
 def test_rates_reports_nonoptimal_m1_t3(capsys):
     code, out, _ = run(capsys, "rates", "--family", "m1", "--t", "3", "--q", "2")
     assert code == 0

@@ -3,7 +3,6 @@ import pytest
 
 from designmosaics.designs import (
     AffineReport,
-    BIBDParams,
     CheckFailure,
     GDDParams,
     IncidenceStructure,
@@ -91,6 +90,34 @@ def test_gdd_td_from_m4():
     res = verify_gdd(D, part, 0, 1)
     assert res and (res.u, res.m, res.k, res.b) == (3, 2, 2, 9)
     assert classify_gdd(res) == "semi-regular"
+
+
+def first_pair_mismatch(D, want):
+    """Oracle: the first (x, y) in row-major order whose pair count differs
+    from want(x, y), as (x, y, count, want(x, y))."""
+    N = D.N.astype(int)
+    for x in range(D.v):
+        for y in range(D.v):
+            count = int((N[x] * N[y]).sum())
+            if count != want(x, y):
+                return (x, y, count, want(x, y))
+    return None
+
+
+def test_pair_count_failures_name_the_first_row_major_pair():
+    part = [(0, 1, 2), (3, 4, 5)]
+    same = {(x, y) for cls in part for x in cls for y in cls}
+    cases = [
+        (verify_bibd, ag_design(3, 2)[0], (2,), lambda x, y: 7 if x == y else 2),
+        (verify_bibd, td_design(2, 3)[0], (1,), lambda x, y: 3 if x == y else 1),
+        (verify_gdd, td_design(2, 3)[0], (part, 1, 1), lambda x, y: 3 if x == y else 1),
+        (verify_gdd, td_design(2, 3)[0], (part, 0, 2),
+         lambda x, y: 3 if x == y else 0 if (x, y) in same else 2),
+    ]
+    for verify, D, args, want in cases:
+        res = verify(D, *args)
+        assert isinstance(res, CheckFailure) and res.reason == "pair count mismatch"
+        assert res.witness == first_pair_mismatch(D, want)
 
 
 def test_gdd_malformed_partition():
@@ -251,13 +278,6 @@ def test_fisher_bose_hanani_inequalities():
             m4 = build_m4(k, q)
             p = m4.member_params
             assert p.k <= (p.lambda2 * p.u ** 2 - 1) // (p.u - 1)
-
-
-def test_bibd_params_derivation():
-    p = BIBDParams.from_vkl(9, 3, 1)
-    assert (p.r, p.b) == (4, 12)
-    with pytest.raises(ValueError):
-        BIBDParams.from_vkl(8, 3, 1)
 
 
 def test_csv_and_json_round_trips(tmp_path):

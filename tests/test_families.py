@@ -79,7 +79,7 @@ def test_ag_design_blocks_are_hyperplanes(t, q):
                     dot = gf.add(dot, gf.mul(hj, xj))
                 if dot == alpha:
                     hyperplane.append(x)
-            assert D.block_points(i * q + alpha).tolist() == hyperplane
+            assert np.flatnonzero(D.N[:, i * q + alpha]).tolist() == hyperplane
 
 
 def test_m1_corrected_lambda():

@@ -143,9 +143,9 @@ def test_gf4_arithmetic_examples():
 def test_coeff_round_trip():
     gf = make_field(5, 3)
     for x in [0, 1, 7, 124]:
-        assert gf.from_coeffs(gf.to_coeffs(x)) == x
-    with pytest.raises(ValueError):
-        gf.to_coeffs(5 ** 3)
+        assert gf.from_coeffs([x // 5 ** i % 5 for i in range(3)]) == x
+    with pytest.raises(ValueError, match="coefficient out of range"):
+        gf.from_coeffs([5])
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2), (7, 1)])
@@ -160,7 +160,6 @@ def test_field_axioms_random(p, n):
         assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
         assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
         assert gf.add(a, gf.neg(a)) == 0
-        assert gf.sub(a, b) == gf.add(a, gf.neg(b))
         if a:
             assert gf.mul(a, gf.inv(a)) == 1
             assert gf.pow(a, gf.order - 1) == 1
@@ -266,31 +265,6 @@ def test_artin_schreier_matches_exhaustive(t):
         assert (len(roots) == 2) == (gf.trace(a) == 0)
         for w in roots:
             assert gf.add(gf.mul(w, w), w) == a
-
-
-def test_quadratic_roots():
-    gf = make_field(2, 2)
-    # gamma = 0 factors as c (alpha c + beta)
-    assert set(gf.quadratic_roots(1, 1, 0)) == {0, 1}
-    assert set(gf.quadratic_roots(2, 3, 0)) == {0, gf.div(3, 2)}
-    # the modulus polynomial: c^2 + c + 1 = 0 at theta, theta + 1
-    assert gf.quadratic_roots(1, 1, 1) == (2, 3)
-    with pytest.raises(ValueError):
-        gf.quadratic_roots(0, 1, 1)
-    # degenerate beta = 0: single root by square root
-    assert gf.quadratic_roots(1, 0, 3) == (gf.sqrt(3),)
-
-
-def test_quadratic_roots_resubstitution():
-    gf = make_field(2, 4)
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        alpha = int(rng.integers(1, gf.order))
-        beta = int(rng.integers(0, gf.order))
-        gamma = int(rng.integers(0, gf.order))
-        for c in gf.quadratic_roots(alpha, beta, gamma):
-            val = gf.add(gf.add(gf.mul(alpha, gf.mul(c, c)), gf.mul(beta, c)), gamma)
-            assert val == 0
 
 
 def test_is_prime_and_prime_power():

@@ -161,7 +161,7 @@ def test_standard_error_halves_when_trials_quadruple():
     ch = symmetric_channel(M.v, 0.3)
     se = []
     for trials in (8000, 32000):
-        cfg = SimConfig(mosaic=M, trials=trials, seed=31, channel=ch, batches=16)
+        cfg = SimConfig(mosaic=M, trials=trials, seed=31, channel=ch)
         se.append(wiretap_roundtrip(cfg).empirical["mi_batch_se"])
     ratio = se[1] / se[0]
     assert 0.25 <= ratio <= 0.9
@@ -175,8 +175,15 @@ def test_trial_count_validation():
         pa_roundtrip(SimConfig(mosaic=M, trials=0, seed=1, source=independent_source(4, 2)))
     with pytest.raises(ValueError):
         wiretap_roundtrip(SimConfig(mosaic=M, trials=10, seed=1))
-    with pytest.raises(ValueError, match="batch count"):     # empty batches
-        wiretap_roundtrip(SimConfig(mosaic=M, trials=5, seed=1, channel=identity_channel(4)))
+
+
+def test_wiretap_roundtrip_makes_min_ten_trials_batches():
+    # five trials make five one-trial batches of the mutual-information estimate
+    M = build_m1(2, 2)
+    res = wiretap_roundtrip(SimConfig(mosaic=M, trials=5, seed=1, channel=identity_channel(4)))
+    batch_mi = [_empirical_mi(res.cells[i:i + 1], M.a) for i in range(5)]
+    assert res.empirical["mi_batch_mean"] == float(np.mean(batch_mi))
+    assert res.empirical["mi_batch_se"] == float(np.std(batch_mi, ddof=1) / math.sqrt(5))
 
 
 # -- oracles: the comparison draw, the list-based chi-square and the dense-table
@@ -478,8 +485,7 @@ def test_wiretap_encoder_calls_g_once_per_distinct_seed(monkeypatch):
         calls = []
         g = M._g
         M._g = lambda s, alpha, kappa, g=g: calls.append(s) or g(s, alpha, kappa)
-        wiretap_roundtrip(SimConfig(mosaic=M, trials=n, seed=2, channel=identity_channel(M.v),
-                                    batches=min(10, n)))
+        wiretap_roundtrip(SimConfig(mosaic=M, trials=n, seed=2, channel=identity_channel(M.v)))
         assert len(calls) == len(set(calls)) <= min(n, M.b), (M, n)
 
 
