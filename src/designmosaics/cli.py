@@ -3,6 +3,9 @@ identities, hash properties and simulation, with JSON output throughout.
 
 Exit codes: 0 success, 1 property-check failure (with a witness in the JSON),
 2 parameter/validation errors, unreadable files included, each naming its input.
+Every flag that a subcommand takes is read by it: ``--seed`` belongs to
+``bounds``, ``exact`` and ``simulate`` only, and no command takes a
+tolerance, since ``bounds`` and ``exact`` judge with ``security.SLACK``.
 
 ``main`` builds its argument parser on its first call and reuses it for every
 later call in the same process; each call parses into a fresh namespace.
@@ -29,6 +32,7 @@ from .families import FAMILY_BUILDERS, build_family
 from .hashprops import hashprops_report
 from .mosaics import certify, rates
 from .security import (
+    SLACK,
     pa_report,
     prop41_check,
     prop42_check,
@@ -242,10 +246,10 @@ def cmd_bounds(args):
     rng = np.random.default_rng(args.seed)
     if args.scenario == "wiretap":
         channel = _parse_channel(args.channel, M.v, rng)
-        rep = wiretap_report(M, channel, _parse_pa(args.pa, M.a), tol=args.tol)
+        rep = wiretap_report(M, channel, _parse_pa(args.pa, M.a))
     else:
         source = _parse_source(args.source, M.v, rng)
-        rep = pa_report(M, source, tol=args.tol)
+        rep = pa_report(M, source)
     payload = rep.to_json()
     payload["scenario"] = args.scenario
     payload["params"] = _family_params(args)
@@ -269,10 +273,10 @@ def cmd_exact(args):
     for _ in range(args.trials):
         law = fixed if fixed is not None else draw(M.v, int(rng.integers(2, M.v + 3)), rng)
         worst = max(worst, check(member, params, law, part).discrepancy)
-    ok = worst < args.tol
+    ok = worst < SLACK
     payload = {
         "check": args.check, "params": _family_params(args),
-        "trials": args.trials, "seed": args.seed, "tol": args.tol,
+        "trials": args.trials, "seed": args.seed, "tol": SLACK,
         "max_discrepancy": worst, "ok": ok,
     }
     return _finish(payload, args, 0 if ok else 1)
@@ -309,8 +313,6 @@ def _add_command(sub, name, fn, help):
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--mosaic", help="mosaic JSON header written by gen")
     p.add_argument("--out", help="output path; '-' or omitted for stdout")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=fn)
     return p
 
@@ -327,12 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "rates", cmd_rates, "color/block rates and optimality verdict")
 
     p = _add_command(sub, "bounds", cmd_bounds, "exact metrics vs. theorem bounds")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scenario", choices=("wiretap", "pa"), default="wiretap")
     p.add_argument("--channel")
     p.add_argument("--source")
     p.add_argument("--pa", help="uniform | point:IDX | comma-separated weights")
 
     p = _add_command(sub, "exact", cmd_exact, "exact-identity checks on random channels/sources")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check", choices=("prop41", "prop42"), required=True)
     p.add_argument("--channel")
     p.add_argument("--source")
@@ -340,6 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "hashprops", cmd_hashprops, "collision spectrum and universality report")
 
     p = _add_command(sub, "simulate", cmd_simulate, "Monte Carlo roundtrips calibrated against exact laws")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scenario", choices=("wiretap", "pa"), default="wiretap")
     p.add_argument("--channel")
     p.add_argument("--source")
@@ -356,10 +361,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _check_numeric_flags(args):
     """Reject numeric flags outside their domain; the parser checks only types."""
-    if args.seed < 0:
+    if getattr(args, "seed", 0) < 0:
         raise CliError(f"--seed must be nonnegative, got {args.seed}")
-    if not (np.isfinite(args.tol) and args.tol >= 0):
-        raise CliError(f"--tol must be finite and nonnegative, got {args.tol}")
     if getattr(args, "trials", 1) < 1:
         raise CliError(f"--trials must be at least 1, got {args.trials}")
     if not 0 < getattr(args, "significance", 0.5) < 1:

@@ -18,11 +18,13 @@ matrix's columns; ``cond(alpha)`` sums the channel or source rows of those
 points into P_{ZS|A=alpha}.  The exact metrics make two passes over the
 colors: one sums the mixture P_ZS, the other takes every divergence.
 
-The tolerances are constants: a channel's rows sum to 1 within 1e-12, a
-source to 1 within 1e-9, and the generalized bounds' domination and the
-sandwich sides hold with 1e-9 slack.  The wiretap and privacy-amplification paths share their helpers:
-one matrix validation, one classification of GDD members for both
-coefficient displays, one set of sandwich checks and one report assembly.
+The tolerances are constants: a channel's rows sum to 1 within 1e-12 and a
+source to 1 within 1e-9.  Every verdict, the reports' and the generalized
+bounds' domination and the sandwich sides, holds with the one slack
+``SLACK`` = 1e-9; no caller sets it.  The wiretap and privacy-amplification
+paths share their helpers: one matrix validation, one classification of GDD
+members for both coefficient displays, one set of sandwich checks and one
+report assembly.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .designs import BIBDParams, GDDParams, IncidenceStructure, classify_gdd, ve
 from .mosaics import Mosaic
 
 INF = math.inf
+SLACK = 1e-9        # a bound dominates, and a sandwich side holds, within SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +585,7 @@ def generalized_bound(D: IncidenceStructure, channel: Optional[Channel] = None,
     Uses the spectral choice c = mu2, d = (mu1 - mu2)/v from the eigenvalues of
     N N^T (1 is the top eigenvector of a tactical configuration), and, when GDD
     parameters are supplied, also the lambda_max choice c = r - lambda_max,
-    d = lambda_max.  Domination is checked with 1e-9 slack.
+    d = lambda_max.  Domination is checked with ``SLACK``.
     """
     tact = verify_tactical(D)
     if not tact:
@@ -599,12 +602,12 @@ def generalized_bound(D: IncidenceStructure, channel: Optional[Channel] = None,
             exact = wiretap_seed_divergence(D, channel, tact.k)
             bound = dd * D.v / kr + cc / kr * _exp_d2_uniform(channel.W)
             out["wiretap"] = {"exact": exact, "bound": bound,
-                              "dominates": bool(bound >= exact - 1e-9)}
+                              "dominates": bool(bound >= exact - SLACK)}
         if joint is not None:
             exact_z = pa_seed_divergences(D, joint, tact.r)
             bound_z = a * cc / tact.r * np.exp2(-joint.h2_given_z()) + a * dd / tact.r
             out["pa"] = {"exact_max": float(exact_z.max()), "bound_max": float(bound_z.max()),
-                         "dominates": bool((bound_z >= exact_z - 1e-9).all())}
+                         "dominates": bool((bound_z >= exact_z - SLACK).all())}
         return out
 
     spectral = evaluate(c, dcoef)
@@ -647,11 +650,11 @@ def _log_class_size(partition) -> float:
 
 def _sandwich_checks(full, coarse, log_u) -> dict:
     """Both sides of full - log u <= coarse <= full and their equalities, all
-    within 1e-9 and for every entry when full and coarse are arrays."""
-    return {"left_holds": bool(np.all(coarse >= full - log_u - 1e-9)),
-            "right_holds": bool(np.all(coarse <= full + 1e-9)),
-            "left_equality": bool(np.max(np.abs(coarse - (full - log_u))) <= 1e-9),
-            "right_equality": bool(np.max(np.abs(coarse - full)) <= 1e-9)}
+    within ``SLACK`` and for every entry when full and coarse are arrays."""
+    return {"left_holds": bool(np.all(coarse >= full - log_u - SLACK)),
+            "right_holds": bool(np.all(coarse <= full + SLACK)),
+            "left_equality": bool(np.max(np.abs(coarse - (full - log_u))) <= SLACK),
+            "right_equality": bool(np.max(np.abs(coarse - full)) <= SLACK)}
 
 
 def divergence_comparison(channel: Channel, partition) -> SandwichReport:
@@ -703,13 +706,13 @@ class SecurityReport:
                 "dominates": self.dominates, "coefficients": self.coefficients}
 
 
-def _security_report(exact, bounds, kl_exact, tv_exact, kl_name, tol) -> SecurityReport:
+def _security_report(exact, bounds, kl_exact, tv_exact, kl_name) -> SecurityReport:
     """Exact metrics beside the (kl, tv) bounds: the bound dominates when
-    2^exact[m] <= kl bound + tol for every m in kl_exact and
-    exact[tv_exact] <= tv bound + tol."""
+    2^exact[m] <= kl bound + SLACK for every m in kl_exact and
+    exact[tv_exact] <= tv bound + SLACK."""
     kl_b, tv_b = bounds
-    dominates = (all(2.0 ** exact[m] <= kl_b.value + tol for m in kl_exact)
-                 and exact[tv_exact] <= tv_b.value + tol)
+    dominates = (all(2.0 ** exact[m] <= kl_b.value + SLACK for m in kl_exact)
+                 and exact[tv_exact] <= tv_b.value + SLACK)
     return SecurityReport(exact=exact,
                           bounds={kl_name: kl_b.value, "tv": tv_b.value},
                           dominates=bool(dominates),
@@ -717,16 +720,16 @@ def _security_report(exact, bounds, kl_exact, tv_exact, kl_name, tol) -> Securit
                                         "specialization": kl_b.specialization})
 
 
-def wiretap_report(M: Mosaic, channel: Channel, p_a=None, tol: float = 1e-9) -> SecurityReport:
+def wiretap_report(M: Mosaic, channel: Channel, p_a=None) -> SecurityReport:
     """Exact wiretap metrics side by side with the theorem bounds."""
     exact = exact_wiretap_metrics(WiretapJoint(M, channel, p_a))
     return _security_report(exact, _wt_bounds(M.member_params, channel, M.point_classes),
                             ("mutual_information", "max_kl_cond"), "tv",
-                            "exp_mutual_information", tol)
+                            "exp_mutual_information")
 
 
-def pa_report(M: Mosaic, joint: JointXZ, tol: float = 1e-9) -> SecurityReport:
+def pa_report(M: Mosaic, joint: JointXZ) -> SecurityReport:
     """Exact privacy-amplification metrics side by side with the theorem bounds."""
     exact = exact_pa_metrics(PAJoint(M, joint))
     return _security_report(exact, _pa_bounds(M.member_params, joint, M.point_classes),
-                            ("max_kl", "mutual_information"), "max_tv", "exp_max_kl", tol)
+                            ("max_kl", "mutual_information"), "max_tv", "exp_max_kl")

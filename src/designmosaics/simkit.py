@@ -184,6 +184,8 @@ def _empirical_mi(cells, a: int) -> float:
 
 @dataclass
 class SimConfig:
+    """A wiretap run reads ``channel`` and ``p_a``, a privacy-amplification
+    run ``source``; each raises ``ValueError`` on a field that it does not read."""
     mosaic: Mosaic
     trials: int
     seed: int
@@ -250,6 +252,8 @@ def wiretap_roundtrip(cfg: SimConfig) -> SimResult:
     """
     if cfg.channel is None:
         raise ValueError("wiretap simulation needs a channel")
+    if cfg.source is not None:
+        raise ValueError("wiretap simulation does not read SimConfig.source")
     M, n = cfg.mosaic, cfg.trials
     if n < 1:
         raise ValueError("trial count must be at least 1")
@@ -300,6 +304,9 @@ def pa_roundtrip(cfg: SimConfig) -> SimResult:
     """
     if cfg.source is None:
         raise ValueError("privacy-amplification simulation needs a source")
+    for name in ("channel", "p_a"):
+        if getattr(cfg, name) is not None:
+            raise ValueError(f"privacy-amplification simulation does not read SimConfig.{name}")
     M, n = cfg.mosaic, cfg.trials
     if n < 1:
         raise ValueError("trial count must be at least 1")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -317,14 +320,16 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "--pa" in json.loads(err)["error"]
     prop41 = ("exact", *m1, "--check", "prop41")
+    # no command takes a tolerance: argparse rejects --tol with any value
+    for argv in (prop41 + ("--tol", "nan"), prop41 + ("--tol", "-1"), prop41 + ("--tol", "inf"),
+                 ("bounds", *m1, "--channel", "identity", "--tol", "nan"),
+                 ("bounds", *m1, "--channel", "identity", "--tol", "-1"),
+                 ("bounds", *m1, "--channel", "identity", "--tol", "inf")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2 and "--tol" in capsys.readouterr().err, argv
     for argv, flag in ((prop41 + ("--trials", "0"), "--trials"),
                        (prop41 + ("--trials", "-3"), "--trials"),
-                       (prop41 + ("--tol", "nan"), "--tol"),
-                       (prop41 + ("--tol", "-1"), "--tol"),
-                       (prop41 + ("--tol", "inf"), "--tol"),
-                       (("bounds", *m1, "--channel", "identity", "--tol", "nan"), "--tol"),
-                       (("bounds", *m1, "--channel", "identity", "--tol", "-1"), "--tol"),
-                       (("bounds", *m1, "--channel", "identity", "--tol", "inf"), "--tol"),
                        (("simulate", *m1, "--channel", "identity", "--significance", "-1"),
                         "--significance"),
                        (("simulate", *m1, "--channel", "identity", "--significance", "nan"),
@@ -350,6 +355,72 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--family", "m9"])     # argparse rejects the choice
     assert exc.value.code == 2
+
+
+COMMANDS = ("gen", "verify", "rates", "bounds", "exact", "hashprops", "simulate")
+
+
+@pytest.mark.parametrize("command, flag", [(command, "--tol") for command in COMMANDS]
+                         + [(command, "--seed") for command in ("gen", "verify", "rates", "hashprops")])
+def test_a_flag_the_command_does_not_take_exits_2_naming_it(capsys, command, flag):
+    # every verdict uses security.SLACK, and only bounds, exact and simulate draw
+    argv = [command, "--family", "m1", "--t", "2", "--q", "2", flag, "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--check", "prop41"] if command == "exact" else []))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_every_command_reads_every_flag_it_takes(tmp_path, capsys, monkeypatch):
+    """Each attribute that a subcommand's parser sets is read by the command,
+    in one of its scenarios or checks.  Only the reads of ``args.fn`` count:
+    the checks before it read what they validate, which is no use of it.
+    ``fn`` and ``command`` are argparse's dispatch."""
+    import argparse
+    reads = set()
+
+    class Recorder(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    monkeypatch.setattr(argparse, "Namespace", Recorder)
+    m1 = ["--family", "m1", "--t", "2", "--q", "2"]
+    runs = {
+        "gen": [["--out", str(tmp_path / "m1.json")]],
+        "verify": [[]], "rates": [[]], "hashprops": [[]],
+        "bounds": [["--channel", "identity"], ["--scenario", "pa", "--source", "random"]],
+        "exact": [["--check", "prop41"], ["--check", "prop42"]],
+        "simulate": [["--channel", "identity", "--trials", "50"],
+                     ["--scenario", "pa", "--source", "random", "--trials", "50"]],
+    }
+    for command, variants in runs.items():
+        read, taken = set(), set()
+        for extra in variants:
+            args = cli._parser().parse_args([command, *m1, *extra])
+            assert type(args) is Recorder
+            cli._check_numeric_flags(args)
+            cli._check_unread_flags(args)
+            reads.clear()
+            assert args.fn(args) in (0, 1), (command, extra)
+            read |= reads
+            taken |= set(vars(args)) - {"fn", "command"}
+        capsys.readouterr()
+        assert taken - read == set(), command
+
+
+@pytest.mark.parametrize("family", [("m1", "--t", "12", "--q", "4"), ("m4", "--k", "3", "--q", "65536")],
+                         ids=["m1_12_4", "m4_3_65536"])
+def test_rates_on_a_large_mosaic_builds_no_table(family):
+    # rates reads the parameters only; M1's slopes and the (q, q) field
+    # tables of M1 and M4 wait for the first call of f, g or the form
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
+    proc = subprocess.run([sys.executable, "-m", "designmosaics.cli", "rates", "--family", *family],
+                          env=env, capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["verdict"] in ("optimal", "near-optimal")
 
 
 def test_output_contains_content_hash(capsys):
@@ -506,9 +577,13 @@ def test_every_command_runs_on_the_large_rung(tmp_path, capsys):
     code, _, _ = run(capsys, "gen", *family, "--out", str(tmp_path / "m2.json"))
     assert code == 0
     outputs = {}
-    for argv in [("verify",), ("rates",), ("hashprops",),
-                 ("bounds", "--scenario", "wiretap", "--channel", "symmetric:0.2"),
-                 ("bounds", "--scenario", "pa", "--source", "independent"),
+    # the symmetric channel and the independent source give every mosaic of
+    # the same (v, b, k) the same metrics; the random laws read its structure
+    bounds = [("bounds", "--scenario", "wiretap", "--channel", "symmetric:0.2"),
+              ("bounds", "--scenario", "wiretap", "--channel", "random"),
+              ("bounds", "--scenario", "pa", "--source", "independent"),
+              ("bounds", "--scenario", "pa", "--source", "random")]
+    for argv in [("verify",), ("rates",), ("hashprops",), *bounds,
                  ("simulate", "--scenario", "wiretap", "--channel", "symmetric:0.2",
                   "--trials", "2000"),
                  ("simulate", "--scenario", "pa", "--source", "independent",
@@ -517,12 +592,17 @@ def test_every_command_runs_on_the_large_rung(tmp_path, capsys):
                  ("exact", "--check", "prop42", "--trials", "2")]:
         code, out, _ = run(capsys, argv[0], *family, *argv[1:])
         assert code == 0, argv
-        outputs[argv[:3]] = json.loads(out)
+        outputs[argv[:3]] = outputs[argv] = json.loads(out)
     assert outputs[("verify",)]["ok"]
-    assert outputs[("bounds", "--scenario", "wiretap")]["dominates"]
-    assert outputs[("bounds", "--scenario", "pa")]["dominates"]
+    assert all(outputs[argv]["dominates"] for argv in bounds)
     assert outputs[("simulate", "--scenario", "wiretap")]["decode_errors"] == 0
     assert outputs[("simulate", "--scenario", "pa")]["decode_errors"] == 0
+    # (232, 8, 1) BIBD members: the constant spectrum a lambda = 29 meets the
+    # Stinson floor, and epsilon is 8/957
+    hp = outputs[("hashprops",)]
+    assert hp["spectrum_min"] == hp["spectrum_max"] == 29
+    assert hp["universal"] is True and hp["optimally_universal"] is True
+    assert hp["epsilon"] == 8 / 957
 
 
 @pytest.mark.parametrize("argv", [

@@ -177,6 +177,21 @@ def test_trial_count_validation():
         wiretap_roundtrip(SimConfig(mosaic=M, trials=10, seed=1))
 
 
+@pytest.mark.parametrize("roundtrip, field", [
+    (wiretap_roundtrip, "source"),
+    (pa_roundtrip, "channel"),
+    (pa_roundtrip, "p_a"),
+])
+def test_a_field_the_roundtrip_does_not_read_is_rejected(roundtrip, field):
+    M = build_m1(2, 2)
+    given = {"channel": identity_channel(M.v), "source": independent_source(M.v, 2),
+             "p_a": np.full(M.a, 1 / M.a)}
+    reads = ("channel", "p_a") if roundtrip is wiretap_roundtrip else ("source",)
+    cfg = SimConfig(mosaic=M, trials=10, seed=1, **{k: given[k] for k in (*reads, field)})
+    with pytest.raises(ValueError, match=f"does not read SimConfig.{field}$"):
+        roundtrip(cfg)
+
+
 def test_wiretap_roundtrip_makes_min_ten_trials_batches():
     # five trials make five one-trial batches of the mutual-information estimate
     M = build_m1(2, 2)
