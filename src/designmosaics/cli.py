@@ -159,7 +159,7 @@ def _parse_channel(spec, v, rng):
         return constant_column_channel(v)
     if spec == "random":
         return random_channel(v, max(2, v), rng)
-    if spec.startswith("symmetric"):
+    if spec == "symmetric" or spec.startswith("symmetric:"):
         try:
             return symmetric_channel(v, float(spec.split(":", 1)[1]) if ":" in spec else 0.1)
         except ValueError as exc:

@@ -258,7 +258,7 @@ def incidence_to_csv(D: IncidenceStructure, path):
 
 
 def incidence_from_csv(path) -> IncidenceStructure:
-    N = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=np.int64))
+    N = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
     return IncidenceStructure(N)
 
 

@@ -7,9 +7,9 @@ incident; the preimage enumerator g(s, alpha, kappa) walks the k points of
 f_s^{-1}(alpha) bijectively.  g takes integer arrays for alpha and kappa at
 one scalar seed s and broadcasts them, so :func:`verify_functional_form`
 checks each seed's (a, k) block of points in one call.  Mosaics are kept
-lazily as (f, g) pairs; the one dense form a mosaic ever materializes is its
-color matrix F[x, s] = f(x, s), from which members, preimages and joint laws
-are derived on demand.
+lazily as (f, g) pairs; the dense forms a mosaic materializes are its color
+matrix F[x, s] = f(x, s) and :meth:`Mosaic.block_table`, F's stable column
+sort; members, preimages and joint laws are derived from them on demand.
 
 A mosaic built from a resolvable design and a quasigroup on the colors has
 the resolvable form f(x, (i, beta)) = L(beta, gamma_i(x)), with the seed
@@ -19,7 +19,7 @@ table G[x, i] = gamma_i(x) and its (a, a) color table L.  Its color matrix is
 then one gather over (G, L): so for ``construct_from_resolvable``,
 ``point_multiple`` of such a mosaic, and the families M1, M2 and M3.
 ``from_members`` sets F from the member matrices and ``dual_mosaic`` to the
-base's F transposed; g of both reads a stable sort of F's column.  The rest,
+base's F transposed; g of both reads the block table.  The rest,
 M4 included, broadcast f over arrays of points and seeds: one call fills F.
 """
 
@@ -112,6 +112,7 @@ class Mosaic:
         self.meta = dict(meta or {})
         self._form = form
         self._colors = None
+        self._order = None
         self._cover_fault = None    # from_members: first (x, s, count) with count != 1
 
     @property
@@ -159,6 +160,14 @@ class Mosaic:
             self._colors = F
         return self._colors
 
+    def block_table(self) -> np.ndarray:
+        """The (v, b) stable argsort of F's columns, cached like F; it checks
+        nothing.  With k points of each color at every seed, its (a, k, b)
+        reshape is T[alpha, kappa, s], the points of color alpha at seed s."""
+        if self._order is None:
+            self._order = np.argsort(self.color_matrix(), axis=0, kind="stable")
+        return self._order
+
     def member(self, alpha) -> IncidenceStructure:
         return IncidenceStructure((self.color_matrix() == alpha).astype(np.uint8))
 
@@ -184,9 +193,9 @@ def from_functional_form(f, g, v, b, a, k=None, **kwargs) -> Mosaic:
 
 def _from_colors(F, a, k=None, member_params=None, meta=None) -> Mosaic:
     """Mosaic held by its color matrix F alone: f reads F, and g reads column
-    s stably sorted by color, whose k points of color alpha start at alpha k."""
+    s of the block table, whose k points of color alpha start at row alpha k."""
     def g(s, alpha, kappa):
-        return np.argsort(F[:, s], kind="stable")[alpha * M.k + kappa]
+        return M.block_table()[alpha * M.k + kappa, s]
 
     M = Mosaic(F.shape[0], F.shape[1], a, lambda x, s: F[x, s], g, k=k,
                member_params=member_params, meta=meta)

@@ -12,11 +12,11 @@ vanishes.  A conditional divergence is the divergence of a joint law from a
 product, D(W || Q | P) = D(P W || P x Q), so the exact metrics are per-color
 divergences of P_{ZS|A=alpha} from the products P_ZS and P_Z x U_S.
 
-No (a, nz, b) array is held.  Each joint law keeps its mosaic's block table,
-the k points of each color at each seed, from one stable sort of the color
-matrix's columns; ``cond(alpha)`` sums the channel or source rows of those
-points into P_{ZS|A=alpha}.  The exact metrics make two passes over the
-colors: one sums the mixture P_ZS, the other takes every divergence.
+No (a, nz, b) array is held.  Each joint law checks that every seed holds k
+points of each color and reads the mosaic's cached ``block_table``, those
+points; ``cond(alpha)`` sums the channel or source rows of those points into
+P_{ZS|A=alpha}.  The exact metrics make two passes over the colors: one sums
+the mixture P_ZS, the other takes every divergence.
 
 The tolerances are constants: a channel's rows sum to 1 within 1e-12 and a
 source to 1 within 1e-9.  Every verdict, the reports' and the generalized
@@ -181,13 +181,13 @@ def _replications(mosaic: Mosaic) -> np.ndarray:
 
 def _block_table(mosaic: Mosaic) -> np.ndarray:
     """The block table T[alpha, kappa, s]: the k points of color alpha at seed
-    s, ascending in kappa, from one stable sort of each column of F.  Raises
+    s, ascending in kappa, a view of the mosaic's cached table.  Raises
     ValueError naming the first (s, alpha, count) whose count is not k."""
     F, a, b, k = mosaic.color_matrix(), mosaic.a, mosaic.b, mosaic.k
     counts = np.bincount((F + a * np.arange(b)).ravel(), minlength=a * b).reshape(b, a)
     for s, alpha in np.argwhere(counts != k)[:1]:
         raise ValueError(f"seed {s} holds {counts[s, alpha]} points of color {alpha}, not k = {k}")
-    return np.argsort(F, axis=0, kind="stable").reshape(a, k, b)
+    return mosaic.block_table().reshape(a, k, b)
 
 
 def _gather(rows, table, alpha) -> np.ndarray:

@@ -60,7 +60,7 @@ def constant_column_channel(v: int, output_dist=None) -> Channel:
 
 
 def channel_from_csv(path) -> Channel:
-    W = np.atleast_2d(np.loadtxt(path, delimiter=","))
+    W = np.loadtxt(path, delimiter=",", ndmin=2)
     return Channel(W)
 
 
@@ -78,7 +78,7 @@ def independent_source(v: int, nz: int) -> JointXZ:
 
 
 def source_from_csv(path) -> JointXZ:
-    P = np.atleast_2d(np.loadtxt(path, delimiter=","))
+    P = np.loadtxt(path, delimiter=",", ndmin=2)
     return JointXZ(P)
 
 

@@ -9,8 +9,10 @@ import pytest
 
 from designmosaics import cli
 from designmosaics.cli import main
-from designmosaics.serialize import load_mosaic, save_mosaic
+from designmosaics.designs import IncidenceStructure
 from designmosaics.families import build_m1, build_m4
+from designmosaics.mosaics import certify, from_members
+from designmosaics.serialize import load_mosaic, save_mosaic
 
 
 def run(capsys, *argv):
@@ -441,6 +443,44 @@ def test_save_load_round_trip_without_members(tmp_path):
     path.write_text(json.dumps(head))
     with pytest.raises(ValueError, match="content_hash"):
         load_mosaic(path)
+
+
+def test_a_one_seed_mosaic_survives_save_and_load_with_members(tmp_path):
+    # b = 1: every member file holds one column
+    F = np.array([[0], [1], [0], [1]], dtype=np.int32)
+    M = from_members([IncidenceStructure(F == alpha) for alpha in range(2)])
+    assert certify(M) is None
+    path = tmp_path / "one.json"
+    save_mosaic(M, path, members=True)
+    loaded = load_mosaic(path)
+    assert np.array_equal(loaded.color_matrix(), F) and certify(loaded) is None
+
+
+@pytest.mark.parametrize("argv, content", [
+    (("--channel", "{file}"), "1\n1\n1\n1\n"),
+    (("--scenario", "pa", "--source", "{file}"), "0.25\n0.25\n0.25\n0.25\n"),
+], ids=["channel", "source"])
+def test_bounds_reads_a_one_column_law(tmp_path, capsys, argv, content):
+    # nz = 1: Z says nothing, and the file's four rows are the mosaic's four points
+    path = tmp_path / "law.csv"
+    path.write_text(content)
+    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    code, out, err = run(capsys, "bounds", "--family", "m1", "--t", "2", "--q", "2", *argv)
+    assert (code, err) == (0, "") and json.loads(out)["dominates"] is True
+
+
+def test_a_channel_file_named_like_symmetric_is_read_as_a_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    W = np.random.default_rng(3).dirichlet(np.ones(4), size=4)
+    for name in ("symmetric_w.csv", "w.csv"):
+        np.savetxt(name, W, delimiter=",")
+    family = ("--family", "m1", "--t", "2", "--q", "2")
+    outs = [run(capsys, "bounds", *family, "--channel", name)
+            for name in ("symmetric_w.csv", "w.csv", "symmetric")]
+    assert outs[0] == outs[1] and outs[0][0] == 0 and outs[0][1] != outs[2][1]
+    code, out, err = run(capsys, "bounds", *family, "--channel", "symmetrical")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith("--channel symmetrical: ")
 
 
 def test_reused_parser_gives_the_output_of_a_fresh_one(capsys):

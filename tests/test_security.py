@@ -51,7 +51,9 @@ from designmosaics.simkit import (
     independent_source,
     random_channel,
     random_source,
+    symmetric_channel,
 )
+from designmosaics.serialize import load_mosaic, save_mosaic
 from test_acceptance import (
     M1_GRID,
     M2_GRID,
@@ -969,3 +971,50 @@ def test_joint_laws_reject_a_seed_without_k_points_of_each_color():
         WiretapJoint(M, identity_channel(M.v))
     with pytest.raises(ValueError, match="seed 0 holds 3 points of color 0, not k = 2"):
         PAJoint(M, independent_source(M.v, 2))
+
+
+def test_the_cached_block_table_is_the_only_sort(tmp_path, monkeypatch):
+    """On a mosaic read from member files, once its block table is built, g at
+    every seed and both joint laws sort nothing."""
+    path = tmp_path / "m.json"
+    save_mosaic(build_m1(2, 3), path, members=True)
+    M = load_mosaic(path)
+    rng = np.random.default_rng(26)
+    W, src = random_channel(M.v, 3, rng), random_source(M.v, 3, rng)
+    F = M.color_matrix()
+    M.block_table()
+    calls = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *args, **kw: calls.append(args) or argsort(*args, **kw))
+    for s in range(M.b):
+        alpha, kappa = s % M.a, s % M.k
+        assert M.g(s, alpha, kappa) == np.flatnonzero(F[:, s] == alpha)[kappa]
+    WiretapJoint(M, W)
+    PAJoint(M, src)
+    assert calls == []
+
+
+def _symmetric_closed_form(v, b, k, p):
+    """The exact wiretap metrics of the q-ary symmetric channel with crossover
+    p under a uniform P_A: P_{ZS|A=alpha}(z, s) is hi on the k points of block
+    (s, alpha) and lo elsewhere, and the mixture P_ZS is uniform, u."""
+    hi = (k * p / (v - 1) + 1 - p - p / (v - 1)) / (b * k)
+    lo = k * p / ((v - 1) * b * k)
+    u = 1 / (v * b)
+
+    def plogp(t):
+        return t * math.log2(t / u) if t > 0 else 0.0
+
+    kl_value = b * (k * plogp(hi) + (v - k) * plogp(lo))
+    tv_value = b * (k * abs(hi - u) + (v - k) * abs(lo - u))
+    return {"mutual_information": kl_value, "max_kl_cond": kl_value,
+            "max_d2_cond": math.log2(b * (k * hi ** 2 + (v - k) * lo ** 2) / u),
+            "tv": tv_value, "tv_upper": 2 * tv_value}
+
+
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.7])
+def test_symmetric_channel_metrics_match_their_closed_form(p):
+    for M in _grid_mosaics() + [build_m2(5, 3)]:
+        got = exact_wiretap_metrics(WiretapJoint(M, symmetric_channel(M.v, p)))
+        for key, want in _symmetric_closed_form(M.v, M.b, M.k, p).items():
+            assert math.isclose(got[key], want, rel_tol=1e-12), (M, p, key, got[key], want)
