@@ -11,9 +11,9 @@ tolerance, since ``bounds`` and ``exact`` judge with ``security.SLACK``.
 later call in the same process; each call parses into a fresh namespace.
 The commands build F through ``Mosaic.color_matrix``: one gather over the
 class and color tables for the families M1, M2 and M3, and one call of the
-array-level f for M4.  Loaded member files set F directly from the member
-matrices, and are certified as ``verify`` certifies them (``mosaics.certify``);
-a file that fails exits 2 on other commands.
+array-level f for M4.  A loaded member file is the CSV of F itself, and is
+certified as ``verify`` certifies it (``mosaics.certify``); a file that fails
+exits 2 on other commands.
 """
 
 from __future__ import annotations
@@ -99,16 +99,16 @@ def _family_params(args) -> dict:
 
 
 def _build(args):
-    """The mosaic of --family or --mosaic.  A file of member matrices that fails
+    """The mosaic of --family or --mosaic.  A member file (F as a CSV) that fails
     ``certify`` is a validation error, except for ``verify``, which reports the
-    failure.  A header without member files is rebuilt by ``build_family``, as
+    failure.  A header without a member file is rebuilt by ``build_family``, as
     --family is, and is not certified again."""
     path = getattr(args, "mosaic", None)
     if path:
         _check_opens("--mosaic", path)
         try:
             M = load_mosaic(path)
-            # of the loaded mosaics, only those read from member files hold F
+            # of the loaded mosaics, only those read from a member file hold F
             fail = args.command != "verify" and M._colors is not None and certify(M)
         except (ValueError, OSError) as exc:
             raise CliError(f"--mosaic {path}: {exc}") from None
@@ -323,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = _add_command(sub, "gen", cmd_gen, "build a mosaic and write its JSON header (+CSV members)")
-    p.add_argument("--members", action="store_true", help="also write one CSV per color")
+    p = _add_command(sub, "gen", cmd_gen, "build a mosaic and write its JSON header (+CSV of F)")
+    p.add_argument("--members", action="store_true", help="also write the color matrix F as a CSV")
     _add_command(sub, "verify", cmd_verify, "re-check partition, member and inverse properties")
     _add_command(sub, "rates", cmd_rates, "color/block rates and optimality verdict")
 

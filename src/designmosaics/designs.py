@@ -250,17 +250,8 @@ def check_affine(D: IncidenceStructure, resolution: Resolution) -> AffineReport:
 
 
 # ---------------------------------------------------------------------------
-# serialization: CSV incidence matrices, JSON parameter certificates
+# serialization: JSON parameter certificates
 # ---------------------------------------------------------------------------
-
-def incidence_to_csv(D: IncidenceStructure, path):
-    np.savetxt(path, D.N, fmt="%d", delimiter=",")
-
-
-def incidence_from_csv(path) -> IncidenceStructure:
-    N = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
-    return IncidenceStructure(N)
-
 
 def params_to_json(params) -> dict:
     if isinstance(params, TacticalParams):
@@ -277,15 +268,23 @@ def params_to_json(params) -> dict:
 
 
 def params_from_json(obj: dict):
-    kind = obj["type"]
+    """The certificate that :func:`params_to_json` wrote as ``obj``."""
+    kind = obj.get("type")
+    where = f"{kind} certificate"
     if kind == "tactical":
-        return TacticalParams(v=obj["v"], b=obj["b"], k=obj["k"], r=obj["r"])
+        return TacticalParams(*json_ints(obj, ("v", "b", "k", "r"), where))
     if kind == "bibd":
-        return BIBDParams(v=obj["v"], b=obj["b"], k=obj["k"], r=obj["r"], lam=obj["lambda"])
+        return BIBDParams(*json_ints(obj, ("v", "k", "lambda", "r", "b"), where))
     if kind == "gdd":
         part = obj.get("partition")
-        return GDDParams(u=obj["u"], m=obj["m"], k=obj["k"],
-                         lambda1=obj["lambda1"], lambda2=obj["lambda2"],
-                         v=obj["v"], r=obj["r"], b=obj["b"],
+        return GDDParams(*json_ints(obj, ("u", "m", "k", "lambda1", "lambda2", "v", "r", "b"), where),
                          partition=None if part is None else tuple(tuple(c) for c in part))
     raise ValueError(f"unknown certificate type {kind!r}")
+
+
+def json_ints(obj: dict, keys, where) -> list:
+    """``obj[key]`` for each key, each an integer, else a ValueError naming the key."""
+    for key in keys:
+        if type(obj.get(key)) is not int:
+            raise ValueError(f"{where} {key} is {obj.get(key)!r}, not an integer")
+    return [obj[key] for key in keys]

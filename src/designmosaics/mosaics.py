@@ -18,9 +18,9 @@ Such a mosaic may carry a ``form``: a callable returning its (v, b/a) class
 table G[x, i] = gamma_i(x) and its (a, a) color table L.  Its color matrix is
 then one gather over (G, L): so for ``construct_from_resolvable``,
 ``point_multiple`` of such a mosaic, and the families M1, M2 and M3.
-``from_members`` sets F from the member matrices and ``dual_mosaic`` to the
-base's F transposed; g of both reads the block table.  The rest,
-M4 included, broadcast f over arrays of points and seeds: one call fills F.
+``from_members``, ``dual_mosaic`` and ``serialize.load_mosaic`` set F from
+the member matrices, the base's F transposed and a member file's F; g of each
+reads the block table.  The rest, M4 included, broadcast f: one call fills F.
 """
 
 from __future__ import annotations
@@ -438,28 +438,3 @@ def rates(M: Mosaic) -> RateReport:
                           td_rate_floor=floor)
     raise ValueError("rate analysis needs classified members (BIBD or GDD parameters)")
 
-
-# ---------------------------------------------------------------------------
-# serialization header
-# ---------------------------------------------------------------------------
-
-def mosaic_header(M: Mosaic) -> dict:
-    from .designs import params_to_json
-    implied = implied_member_keys(M.member_params)
-    return {
-        "format": "mosaic",
-        "family": M.meta.get("family"),
-        "params": {key: val for key, val in M.meta.items() if key != "family"},
-        "v": M.v, "b": M.b, "a": M.a, "k": M.k,
-        "member_kind": implied["member_kind"],
-        "member_params": None if M.member_params is None else params_to_json(M.member_params),
-        "point_classes": implied["point_classes"],
-    }
-
-
-def implied_member_keys(member_params) -> dict:
-    """The header's ``member_kind`` and ``point_classes``, as ``member_params``
-    implies them."""
-    part = getattr(member_params, "partition", None)
-    return {"member_kind": MEMBER_KINDS.get(type(member_params)),
-            "point_classes": None if part is None else [list(c) for c in part]}

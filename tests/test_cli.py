@@ -48,40 +48,34 @@ def test_verify_detects_tampering(tmp_path, capsys):
     path = tmp_path / "m1.json"
     run(capsys, "gen", "--family", "m1", "--t", "2", "--q", "2", "--members",
         "--out", str(path))
-    member = tmp_path / "m1_member_0.csv"
-    rows = member.read_text().splitlines()
-    rows[0] = ",".join("0" for _ in rows[0].split(","))
-    member.write_text("\n".join(rows) + "\n")
+    colors = tmp_path / "m1_colors.csv"
+    rows = colors.read_text().splitlines()
+    rows[0] = ",".join("2" for _ in rows[0].split(","))      # a = 2: no such color
+    colors.write_text("\n".join(rows) + "\n")
     code, out, _ = run(capsys, "verify", "--mosaic", str(path))
     assert code == 1
     payload = json.loads(out)
-    assert payload["ok"] is False and "witness" in payload
+    assert payload["ok"] is False and payload["witness"] == [0, 0, 2]
 
 
-def _read_member(path):
-    return np.loadtxt(path, delimiter=",", dtype=np.uint8, ndmin=2)
+def _edit_colors(tmp_path, edit):
+    """Apply ``edit`` to F as m1_colors.csv holds it, in place."""
+    path = tmp_path / "m1_colors.csv"
+    F = np.loadtxt(path, delimiter=",", dtype=np.int32, ndmin=2)
+    edit(F)
+    np.savetxt(path, F, delimiter=",", fmt="%d")
 
 
-def _write_member(path, N):
-    np.savetxt(path, N, delimiter=",", fmt="%d")
+def _color_out_of_range(F):
+    F[0, 1] = 2             # a = 2: no such color
 
 
-def _uncover_one_row(tmp_path):
-    N = _read_member(tmp_path / "m1_member_1.csv")
-    N[0] = 0
-    _write_member(tmp_path / "m1_member_1.csv", N)
-
-
-def _empty_member_1(tmp_path):
-    # member 0 takes member 1's incidences: every pair stays covered once
-    N0 = _read_member(tmp_path / "m1_member_0.csv")
-    N1 = _read_member(tmp_path / "m1_member_1.csv")
-    _write_member(tmp_path / "m1_member_0.csv", N0 | N1)
-    _write_member(tmp_path / "m1_member_1.csv", np.zeros_like(N1))
+def _empty_member_1(F):
+    F[F == 1] = 0           # member 0 takes member 1's pairs
 
 
 @pytest.mark.parametrize("tamper,reason,witness", [
-    (_uncover_one_row, "pair covered by wrong number of members", [0, 1, 0]),
+    (_color_out_of_range, "color out of range", [0, 1, 2]),
     (_empty_member_1, "empty member", [1]),
 ], ids=["uncovered_pair", "empty_member"])
 def test_commands_reject_a_member_file_that_is_not_a_mosaic(tmp_path, capsys, tamper,
@@ -89,7 +83,7 @@ def test_commands_reject_a_member_file_that_is_not_a_mosaic(tmp_path, capsys, ta
     path = tmp_path / "m1.json"
     run(capsys, "gen", "--family", "m1", "--t", "2", "--q", "2", "--members",
         "--out", str(path))
-    tamper(tmp_path)
+    _edit_colors(tmp_path, tamper)
     mosaic = ("--mosaic", str(path))
     for argv in (("bounds", *mosaic, "--channel", "identity"),
                  ("bounds", *mosaic, "--scenario", "pa", "--source", "independent"),
@@ -109,24 +103,19 @@ def test_commands_reject_a_member_file_that_is_not_a_mosaic(tmp_path, capsys, ta
     assert code == 1 and payload["reason"] == reason and payload["witness"] == witness
 
 
-def _swap_point_0_colors(tmp_path):
+def _swap_point_0_colors(F):
     # point 0 takes color 1 on its first color-0 block and color 0 on its
-    # first color-1 block: every pair stays covered once, but member 0 then
+    # first color-1 block: every pair keeps one color, but member 0 then
     # has blocks of sizes 3 and 1
-    N0 = _read_member(tmp_path / "m1_member_0.csv")
-    N1 = _read_member(tmp_path / "m1_member_1.csv")
-    s0, s1 = np.flatnonzero(N0[0])[0], np.flatnonzero(N1[0])[0]
-    N0[0, [s0, s1]] = 0, 1
-    N1[0, [s0, s1]] = 1, 0
-    _write_member(tmp_path / "m1_member_0.csv", N0)
-    _write_member(tmp_path / "m1_member_1.csv", N1)
+    s0, s1 = np.flatnonzero(F[0] == 0)[0], np.flatnonzero(F[0] == 1)[0]
+    F[0, [s0, s1]] = 1, 0
 
 
 def test_commands_reject_a_member_file_whose_members_are_not_designs(tmp_path, capsys):
     path = tmp_path / "m1.json"
     run(capsys, "gen", "--family", "m1", "--t", "2", "--q", "2", "--members",
         "--out", str(path))
-    _swap_point_0_colors(tmp_path)
+    _edit_colors(tmp_path, _swap_point_0_colors)
     mosaic = ("--mosaic", str(path))
     witness = ["column", 1, 3, 1]
     for argv in (("bounds", *mosaic, "--channel", "identity"),
@@ -609,6 +598,58 @@ def test_a_mosaic_error_names_the_path_once(tmp_path, capsys):
         code, out, err = run(capsys, "hashprops", "--mosaic", str(path))
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == f"--mosaic {path}: {message}"
+
+
+def _rehash(head):
+    from designmosaics.serialize import _header_hash
+    return {**head, "content_hash": _header_hash(head)}
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda head: _rehash({k: v for k, v in head.items() if k != "v"}), "header v"),
+    (lambda head: [head], "not a mosaic header"),
+    (lambda head: _rehash({**head, "params": {"t": "2", "q": 2}}), "header params t is '2'"),
+    (lambda head: _rehash({**head, "member_params": {"type": "bibd"}}), "bibd certificate v"),
+    (lambda head: _rehash({**head, "params": {"t": 2, "q": 2, "zz": 1}}), "'zz': 1"),
+    (lambda head: _rehash({**head, "family": ["m1"]}), "header family is ['m1'], not a str"),
+    (lambda head: _rehash({**head, "params": [2, 2]}), "header params is [2, 2], not a dict"),
+    (lambda head: _rehash({**head, "member_params": "bibd"}), "header member_params is 'bibd'"),
+    (lambda head: _rehash({**head, "colors": 5}), "header colors is 5, not a str"),
+], ids=["no_v", "json_list", "string_param", "partial_member_params", "unknown_param",
+        "family_list", "params_list", "member_params_string", "colors_int"])
+def test_a_malformed_header_is_a_validation_error_naming_its_key(tmp_path, capsys, edit, named):
+    path = tmp_path / "h.json"
+    save_mosaic(build_m1(2, 2), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, out, err = run(capsys, "rates", "--mosaic", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith(f"--mosaic {path}: ") and named in error, error
+
+
+def test_a_header_naming_dense_member_files_is_rejected(tmp_path, capsys):
+    path = tmp_path / "h.json"
+    save_mosaic(build_m1(2, 2), path)
+    head = _rehash({**json.loads(path.read_text()), "members": ["h_member_0.csv", "h_member_1.csv"]})
+    path.write_text(json.dumps(head))
+    code, out, err = run(capsys, "rates", "--mosaic", str(path))
+    assert code == 2 and out == "" and '"members"' in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda rows: rows[:3], "has shape (3, 6), not the header's (v, b) = (4, 6)"),
+    (lambda rows: ["0.5" + rows[0][1:]] + rows[1:], "0.5"),
+    (lambda rows: [rows[0] + ",1"] + rows[1:], ""),
+], ids=["three_rows", "non_integer", "ragged"])
+def test_a_malformed_colors_csv_is_named_in_the_error(tmp_path, capsys, edit, named):
+    path = tmp_path / "m1.json"
+    save_mosaic(build_m1(2, 2), path, members=True)
+    colors = tmp_path / "m1_colors.csv"
+    colors.write_text("\n".join(edit(colors.read_text().splitlines())) + "\n")
+    code, out, err = run(capsys, "verify", "--mosaic", str(path))
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error.startswith(f"--mosaic {path}: {colors}") and named in error, error
 
 
 def test_every_command_runs_on_the_large_rung(tmp_path, capsys):

@@ -8,7 +8,9 @@
   seeds, equals the scalar f cell by cell;
 * ``certify`` accepts every family mosaic, and rejects the ``from_members``
   mosaic made by exchanging two different colors F[x, s0], F[x, s1] of one
-  row: the partition still holds, but two members lose their block sizes.
+  row: the partition still holds, but two members lose their block sizes;
+* that mosaic and a ``dual_mosaic`` keep F, k and the ``certify`` verdict
+  through a member file.
 
 Examples are drawn deterministically (``derandomize``) with a bounded count,
 and nothing is written to a hypothesis database.
@@ -125,10 +127,9 @@ def test_certify_accepts_every_family_mosaic():
         assert certify(M) is None, M
 
 
-@PROPERTY
-@given(st.data())
-def test_certify_rejects_two_colors_exchanged_in_one_row(data):
-    M = draw_mosaic(data)
+def exchange_two_colors(data, M):
+    """The ``from_members`` mosaic of F with two different colors of one
+    drawn row exchanged, and the smaller of the two."""
     F = M.color_matrix().copy()
     x = data.draw(st.integers(0, M.v - 1), label="x")
     s0 = data.draw(st.integers(0, M.b - 1), label="s0")
@@ -136,6 +137,26 @@ def test_certify_rejects_two_colors_exchanged_in_one_row(data):
     F[x, [s0, s1]] = F[x, [s1, s0]]
     swapped = from_members([IncidenceStructure(F == alpha) for alpha in range(M.a)],
                            member_params=M.member_params)
+    return swapped, min(F[x, s0], F[x, s1])
+
+
+@PROPERTY
+@given(st.data())
+def test_certify_rejects_two_colors_exchanged_in_one_row(data):
+    swapped, smaller = exchange_two_colors(data, draw_mosaic(data))
     stage, member, res = certify(swapped)
-    assert (stage, member) == ("members", min(F[x, s0], F[x, s1]))
+    assert (stage, member) == ("members", smaller)
     assert res.reason == "nonconstant block size"
+
+
+@settings(PROPERTY, max_examples=10)
+@given(st.data())
+def test_a_non_design_mosaic_and_a_dual_survive_the_member_file(data):
+    M = draw_mosaic(data)
+    for held in (exchange_two_colors(data, M)[0], dual_mosaic(M)):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mosaic.json"
+            save_mosaic(held, path, members=True)
+            loaded = load_mosaic(path)
+        assert np.array_equal(loaded.color_matrix(), held.color_matrix())
+        assert loaded.k == held.k and certify(loaded) == certify(held)
